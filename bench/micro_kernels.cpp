@@ -14,20 +14,52 @@ using namespace rebooting;
 
 namespace {
 
-void BM_StateVectorHadamard(benchmark::State& state) {
+// The state-vector gate kernels, one gate per iteration cycling over the
+// target qubit. Items are amplitudes, so items/s inverts to ns per amplitude
+// per gate: Hadamard takes the dense path, Rz the diagonal path, and CZ the
+// controlled path (diagonal, a quarter of the amplitudes touched).
+template <typename Gate>
+void run_gate_bench(benchmark::State& state, Gate&& gate) {
   const auto qubits = static_cast<std::size_t>(state.range(0));
   quantum::StateVector sv(qubits);
-  const auto h = quantum::gate_matrix(quantum::GateKind::kH);
+  // Start from a dense state, as a mid-circuit state is.
+  for (std::size_t q = 0; q < qubits; ++q)
+    sv.apply_1q(quantum::gate_matrix(quantum::GateKind::kH), q);
   std::size_t target = 0;
   for (auto _ : state) {
-    sv.apply_1q(h, target);
+    gate(sv, target);
     target = (target + 1) % qubits;
     benchmark::DoNotOptimize(sv.amplitude(0));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(1ull << qubits));
 }
+
+void BM_StateVectorHadamard(benchmark::State& state) {
+  const auto h = quantum::gate_matrix(quantum::GateKind::kH);
+  run_gate_bench(state, [&](quantum::StateVector& sv, std::size_t target) {
+    sv.apply_1q(h, target);
+  });
+}
 BENCHMARK(BM_StateVectorHadamard)->Arg(10)->Arg(16)->Arg(20);
+
+void BM_StateVectorRz(benchmark::State& state) {
+  const auto rz = quantum::gate_matrix(quantum::GateKind::kRz, 0.7);
+  run_gate_bench(state, [&](quantum::StateVector& sv, std::size_t target) {
+    sv.apply_1q(rz, target);
+  });
+}
+BENCHMARK(BM_StateVectorRz)->Arg(10)->Arg(16)->Arg(20);
+
+void BM_StateVectorCz(benchmark::State& state) {
+  const auto qubits = static_cast<std::size_t>(state.range(0));
+  const auto z = quantum::gate_matrix(quantum::GateKind::kZ);
+  run_gate_bench(state, [&](quantum::StateVector& sv, std::size_t target) {
+    const std::size_t control[] = {(target + 1) % qubits};
+    sv.apply_controlled(z, control, target);
+  });
+}
+BENCHMARK(BM_StateVectorCz)->Arg(10)->Arg(16)->Arg(20);
 
 void BM_DmmStep(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -67,10 +99,10 @@ void BM_OscillatorNetworkStep(benchmark::State& state) {
 BENCHMARK(BM_OscillatorNetworkStep)->Arg(2)->Arg(8)->Arg(16);
 
 // Overhead of the telemetry instrumentation in its default (disabled) state:
-// one relaxed atomic load + branch per TELEM_SPAN site. This is the number
-// that keeps spans allowed inside per-gate device code — compare against
-// BM_StateVectorHadamard / BM_OscillatorNetworkStep, which carry spans on
-// their hot paths.
+// one relaxed atomic load + branch per TELEM_SPAN site. Spans stay off
+// per-gate device code all the same: an enabled span (below) costs about as
+// much as a whole gate on a 6-qubit state and serializes on the span mutex,
+// so the quantum runtime counts gates once per run instead.
 void BM_TelemetrySpanDisabled(benchmark::State& state) {
   telemetry::Telemetry::set_enabled(false);
   int sink = 0;

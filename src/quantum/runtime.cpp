@@ -46,13 +46,34 @@ void random_pauli(StateVector& state, std::size_t qubit, core::Rng& rng) {
   state.apply_1q(gate_matrix(kinds[which]), qubit);
 }
 
-}  // namespace
+/// How every shot ends: one basis-state sample, then one readout-flip draw
+/// per physical qubit not measured mid-circuit, in qubit index order.
+std::uint64_t sample_with_readout(const StateVector& state,
+                                  std::uint64_t measured_mask,
+                                  core::Real readout_flip, core::Rng& rng) {
+  std::uint64_t sampled = state.sample(rng);
+  if (readout_flip > 0.0)
+    for (std::size_t q = 0; q < state.num_qubits(); ++q)
+      if (!(measured_mask & (1ull << q)) && rng.bernoulli(readout_flip))
+        sampled ^= 1ull << q;
+  return sampled;
+}
 
-std::uint64_t QuantumAccelerator::run_single_trajectory(
-    const Circuit& compiled, std::span<const std::size_t> final_map,
-    std::size_t logical_qubits, core::Rng& rng) const {
+/// Undoes the routing permutation: logical bit l lives at physical
+/// final_map[l].
+std::uint64_t to_logical(std::uint64_t physical_bits,
+                         std::span<const std::size_t> final_map) {
+  std::uint64_t logical_bits = 0;
+  for (std::size_t l = 0; l < final_map.size(); ++l)
+    if (physical_bits & (1ull << final_map[l])) logical_bits |= 1ull << l;
+  return logical_bits;
+}
+
+/// One Monte-Carlo trajectory of the compiled circuit; returns the physical
+/// bit pattern it reads out.
+std::uint64_t run_trajectory(const Circuit& compiled, const NoiseModel& noise,
+                             core::Rng& rng) {
   StateVector state(compiled.num_qubits());
-  const NoiseModel& noise = config_.noise;
 
   std::uint64_t measured_bits = 0;
   std::uint64_t measured_mask = 0;
@@ -75,22 +96,12 @@ std::uint64_t QuantumAccelerator::run_single_trajectory(
   }
 
   // Any physical qubit not explicitly measured is sampled at the end.
-  std::uint64_t sampled = state.sample(rng);
-  if (noise.readout_flip > 0.0) {
-    for (std::size_t q = 0; q < compiled.num_qubits(); ++q)
-      if (!(measured_mask & (1ull << q)) && rng.bernoulli(noise.readout_flip))
-        sampled ^= 1ull << q;
-  }
-  const std::uint64_t physical_bits =
-      (sampled & ~measured_mask) | measured_bits;
-
-  // Undo the routing permutation: logical bit l lives at physical
-  // final_map[l].
-  std::uint64_t logical_bits = 0;
-  for (std::size_t l = 0; l < logical_qubits; ++l)
-    if (physical_bits & (1ull << final_map[l])) logical_bits |= 1ull << l;
-  return logical_bits;
+  const std::uint64_t sampled =
+      sample_with_readout(state, measured_mask, noise.readout_flip, rng);
+  return (sampled & ~measured_mask) | measured_bits;
 }
+
+}  // namespace
 
 ExecutionResult QuantumAccelerator::run(const Circuit& circuit,
                                         std::size_t shots,
@@ -119,30 +130,36 @@ ExecutionResult QuantumAccelerator::run(const Circuit& circuit,
                           config_.cycle_seconds *
                           static_cast<core::Real>(shots);
 
-  const bool has_measure_ops = std::any_of(
-      prog.circuit.operations().begin(), prog.circuit.operations().end(),
-      [](const Operation& op) { return op.kind == GateKind::kMeasure; });
+  const std::vector<Operation>& ops = prog.circuit.operations();
+  const auto measures = static_cast<std::size_t>(
+      std::count_if(ops.begin(), ops.end(), [](const Operation& op) {
+        return op.kind == GateKind::kMeasure;
+      }));
+  // With no gate errors and no mid-circuit collapse every trajectory
+  // evolves the same state, so one simulation serves all shots. Each shot
+  // then draws exactly what a trajectory would after its gates (one sample,
+  // then the readout flips), so counts and the Rng position are the same
+  // as shot-by-shot execution.
+  const bool shared = !config_.noise.has_gate_noise() && measures == 0;
+  TELEM_COUNT("quantum.gates",
+              static_cast<core::Real>((ops.size() - measures) *
+                                      (shared ? 1 : shots)));
 
   TELEM_SPAN("quantum.execute");
   TELEM_TRACE_SCOPE("quantum.execute");
-  if (!config_.noise.enabled() && !has_measure_ops) {
-    // Fast path: one simulation, sample the final distribution many times.
+  if (shared) {
     StateVector state(prog.circuit.num_qubits());
-    for (const Operation& op : prog.circuit.operations())
-      apply_operation(state, op);
-    for (std::size_t s = 0; s < shots; ++s) {
-      const std::uint64_t physical = state.sample(rng);
-      std::uint64_t logical = 0;
-      for (std::size_t l = 0; l < circuit.num_qubits(); ++l)
-        if (physical & (1ull << final_map[l])) logical |= 1ull << l;
-      ++result.counts[logical];
-    }
+    for (const Operation& op : ops) apply_operation(state, op);
+    for (std::size_t s = 0; s < shots; ++s)
+      ++result.counts[to_logical(
+          sample_with_readout(state, 0, config_.noise.readout_flip, rng),
+          final_map)];
     return result;
   }
 
   for (std::size_t s = 0; s < shots; ++s)
-    ++result.counts[run_single_trajectory(prog.circuit, final_map,
-                                          circuit.num_qubits(), rng)];
+    ++result.counts[to_logical(run_trajectory(prog.circuit, config_.noise, rng),
+                               final_map)];
   return result;
 }
 

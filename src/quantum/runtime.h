@@ -21,8 +21,10 @@ struct NoiseModel {
   core::Real depolarizing_2q = 0.0;  ///< per two-qubit gate
   core::Real readout_flip = 0.0;     ///< per measured bit
 
-  bool enabled() const {
-    return depolarizing_1q > 0.0 || depolarizing_2q > 0.0 || readout_flip > 0.0;
+  /// True when gates draw Pauli errors, so every shot needs its own
+  /// trajectory.
+  bool has_gate_noise() const {
+    return depolarizing_1q > 0.0 || depolarizing_2q > 0.0;
   }
 };
 
@@ -74,17 +76,15 @@ class QuantumAccelerator final : public core::Accelerator {
 
   /// Compiles and executes `shots` measurement shots of the circuit. When
   /// the circuit has no explicit measure operations every qubit is measured
-  /// at the end. Noise (if configured) resamples a trajectory per shot;
-  /// noiseless execution simulates once and samples the distribution.
+  /// at the end. Gate noise or a mid-circuit measurement makes every shot
+  /// its own Monte-Carlo trajectory. Otherwise the circuit is simulated
+  /// once and each shot samples that state, then draws its readout flips;
+  /// the counts and the Rng position are the same as shot-by-shot
+  /// execution would give.
   ExecutionResult run(const Circuit& circuit, std::size_t shots,
                       core::Rng& rng) const;
 
  private:
-  std::uint64_t run_single_trajectory(const Circuit& compiled,
-                                      std::span<const std::size_t> final_map,
-                                      std::size_t logical_qubits,
-                                      core::Rng& rng) const;
-
   QuantumDeviceConfig config_;
 };
 

@@ -4,6 +4,7 @@
 
 #include "core/cache.h"
 #include "quantum/canonical.h"
+#include "telemetry/telemetry.h"
 
 namespace rebooting::quantum {
 namespace {
@@ -109,6 +110,88 @@ TEST(Runtime, ReadoutFlipsScrambleDeterministicOutcome) {
   QuantumAccelerator acc(cfg);
   const ExecutionResult r = acc.run(c, 5000, rng);
   EXPECT_NEAR(r.frequency(0b0), 0.1, 0.02);
+}
+
+/// Three layers of ry rotations and CZ brickwork, closed into a ring by
+/// cz(5, 0), which a line(6) device can only reach through SWAPs.
+Circuit golden_ring_circuit() {
+  Circuit c(6);
+  for (std::size_t layer = 0; layer < 3; ++layer) {
+    for (std::size_t q = 0; q < 6; ++q)
+      c.ry(q, 0.3 + 0.41 * static_cast<core::Real>(q) +
+                  0.57 * static_cast<core::Real>(layer));
+    for (std::size_t q = layer % 2; q + 1 < 6; q += 2) c.cz(q, q + 1);
+  }
+  c.cz(5, 0);
+  return c;
+}
+
+// Seeded counts and the Rng position after the run, pinned before the
+// shared-simulation path for readout-only noise existed: every trajectory
+// of a readout-only circuit draws one sample and then one readout flip per
+// physical qubit, and the shared path must draw exactly that sequence.
+TEST(RuntimeGolden, ReadoutOnlyOnRoutedLineIsPinned) {
+  core::Rng rng(2024);
+  QuantumDeviceConfig cfg;
+  cfg.topology = Topology::line(6);
+  cfg.noise.readout_flip = 0.03;
+  QuantumAccelerator acc(cfg);
+  const ExecutionResult r = acc.run(golden_ring_circuit(), 64, rng);
+  EXPECT_GT(r.compile_report.swaps_inserted, 0u);
+  const std::map<std::uint64_t, std::size_t> expected{
+      {1, 3},  {3, 1},  {13, 1}, {15, 4}, {17, 1}, {21, 2}, {22, 1}, {23, 2},
+      {32, 1}, {33, 3}, {37, 1}, {48, 3}, {49, 15}, {51, 2}, {52, 1}, {53, 3},
+      {54, 3}, {55, 5}, {57, 2}, {59, 1}, {60, 1}, {61, 3}, {63, 5}};
+  EXPECT_EQ(r.counts, expected);
+  EXPECT_EQ(rng(), 5973182743002871157ull);
+}
+
+TEST(RuntimeGolden, DepolarizingTrajectoriesArePinned) {
+  core::Rng rng(77);
+  Circuit ghz(3);
+  ghz.h(0).cx(0, 1).cx(1, 2);
+  QuantumDeviceConfig cfg;
+  cfg.topology = Topology::line(3);
+  cfg.noise.depolarizing_1q = 0.05;
+  cfg.noise.depolarizing_2q = 0.1;
+  cfg.noise.readout_flip = 0.02;
+  QuantumAccelerator acc(cfg);
+  const ExecutionResult r = acc.run(ghz, 200, rng);
+  const std::map<std::uint64_t, std::size_t> expected{
+      {0, 67}, {1, 18}, {2, 11}, {3, 15}, {4, 10}, {5, 11}, {6, 18}, {7, 50}};
+  EXPECT_EQ(r.counts, expected);
+  EXPECT_EQ(rng(), 2252488859343517403ull);
+}
+
+// Gate counts come from one counter per run, not from per-gate spans: a
+// shared simulation applies its gates once, a noisy run once per shot.
+TEST(RuntimeTelemetry, GatesCountedPerSimulatedTrajectory) {
+  auto& telem = telemetry::Telemetry::instance();
+  const bool was_enabled = telemetry::Telemetry::enabled();
+  telem.reset();
+  telemetry::Telemetry::set_enabled(true);
+  core::Rng rng(3);
+  QuantumDeviceConfig cfg;
+  cfg.topology = Topology::line(6);
+  cfg.noise.readout_flip = 0.03;
+  const ExecutionResult shared =
+      QuantumAccelerator(cfg).run(golden_ring_circuit(), 10, rng);
+  const auto gates = static_cast<core::Real>(shared.compile_report.optimized_gates);
+  const core::Real after_shared = telem.metrics().counter("quantum.gates");
+  cfg.noise.depolarizing_1q = 0.01;
+  QuantumAccelerator(cfg).run(golden_ring_circuit(), 10, rng);
+  const core::Real after_noisy = telem.metrics().counter("quantum.gates");
+  const telemetry::SpanNode* run = telem.root().find("quantum.run");
+  const telemetry::SpanNode* execute =
+      run == nullptr ? nullptr : run->find("quantum.execute");
+  const bool leaf = execute != nullptr && execute->children().empty();
+  telemetry::Telemetry::set_enabled(was_enabled);
+  telem.reset();
+
+  EXPECT_GT(gates, 0.0);
+  EXPECT_DOUBLE_EQ(after_shared, gates);
+  EXPECT_DOUBLE_EQ(after_noisy - after_shared, 10.0 * gates);
+  EXPECT_TRUE(leaf) << "quantum.execute missing or has per-gate child spans";
 }
 
 TEST(Runtime, ModeReturnsMostFrequent) {
