@@ -46,7 +46,6 @@ struct Options {
   std::string work = "spin";
   double micros = 50.0;
   std::size_t tenants = 4;
-  bool coalesce = false;
   bool memo = false;  ///< server-side memoization (Request::memo)
   double min_rps = 0.0;
 };
@@ -155,23 +154,19 @@ void worker(const Options& opts, std::size_t thread_index,
     net::Request req;
     req.id = (static_cast<std::uint64_t>(thread_index) << 40) | ++seq;
     req.method = "submit";
-    req.tenant = opts.coalesce ? "default" : tenant;
+    req.tenant = tenant;
     req.work = opts.work;
-    req.no_coalesce = !opts.coalesce;
     req.memo = opts.memo;
     core::JsonValue::Members params;
     if (opts.work == "spin")
       params.emplace_back("micros", core::JsonValue::make_number(opts.micros));
     if (opts.work == "sat")
       // --memo draws seeds from a small pool so repeats hit the result
-      // cache; --coalesce collapses everything into one instance; otherwise
-      // every request is a distinct formula.
+      // cache; otherwise every request is a distinct formula.
       params.emplace_back(
           "seed", core::JsonValue::make_number(
-                      opts.coalesce ? 1.0
-                      : opts.memo
-                          ? static_cast<double>(seq % 8)
-                          : static_cast<double>(req.id)));
+                      opts.memo ? static_cast<double>(seq % 8)
+                                : static_cast<double>(req.id)));
     if (!params.empty())
       req.params = core::JsonValue::make_object(std::move(params));
 
@@ -234,7 +229,7 @@ void print_server_latency(const Options& opts) {
   std::fprintf(stderr,
                "usage: %s --shards H:P[,H:P...] [--threads N] [--seconds F]\n"
                "          [--requests N] [--window N] [--work W] [--micros F]\n"
-               "          [--tenants N] [--coalesce] [--memo] [--min-rps F]\n",
+               "          [--tenants N] [--memo] [--min-rps F]\n",
                argv0);
   std::exit(2);
 }
@@ -277,8 +272,6 @@ int main(int argc, char** argv) {
       opts.micros = std::atof(next());
     } else if (!std::strcmp(arg, "--tenants")) {
       opts.tenants = std::max(1, std::atoi(next()));
-    } else if (!std::strcmp(arg, "--coalesce")) {
-      opts.coalesce = true;
     } else if (!std::strcmp(arg, "--memo")) {
       opts.memo = true;
     } else if (!std::strcmp(arg, "--min-rps")) {

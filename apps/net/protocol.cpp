@@ -39,6 +39,43 @@ bool take_number(const JsonValue& doc, const char* key, double* out,
   return true;
 }
 
+/// Largest integer a JSON number (an IEEE double) carries exactly, and the
+/// priority bound that leaves the server's fair-share bias room in an int.
+constexpr std::int64_t kMaxExactInteger = std::int64_t{1} << 53;
+constexpr std::int64_t kMaxPriority = std::int64_t{1} << 30;
+
+/// An integer-valued field: present means a whole number in [lo, hi], so the
+/// narrowing cast that follows is exact and defined (casting an out-of-range
+/// double is undefined behaviour, not a wrap). Absent leaves *out untouched.
+bool take_integer(const JsonValue& doc, const char* key, std::int64_t lo,
+                  std::int64_t hi, std::int64_t* out, std::string* error) {
+  if (!doc.contains(key)) return true;
+  const JsonValue& v = doc.at(key);
+  const double x =
+      v.type() == JsonValue::Type::kNumber ? v.number() : std::nan("");
+  if (!(x >= static_cast<double>(lo) && x <= static_cast<double>(hi)) ||
+      x != std::floor(x)) {
+    if (error)
+      *error = std::string("field '") + key + "' must be an integer in [" +
+               std::to_string(lo) + ", " + std::to_string(hi) + "]";
+    return false;
+  }
+  *out = static_cast<std::int64_t>(x);
+  return true;
+}
+
+/// The required `id` of every frame, in both directions.
+bool take_id(const JsonValue& doc, std::uint64_t* out, std::string* error) {
+  std::int64_t id = -1;
+  if (!take_integer(doc, "id", 0, kMaxExactInteger, &id, error)) return false;
+  if (id < 0) {
+    if (error) *error = "missing 'id'";
+    return false;
+  }
+  *out = static_cast<std::uint64_t>(id);
+  return true;
+}
+
 bool take_bool(const JsonValue& doc, const char* key, bool* out,
                std::string* error) {
   if (!doc.contains(key)) return true;
@@ -141,7 +178,6 @@ std::string encode_request(const Request& req) {
       put(obj, "priority", JsonValue::make_number(req.priority));
     if (req.deadline_ms)
       put(obj, "deadline_ms", JsonValue::make_number(*req.deadline_ms));
-    if (req.no_coalesce) put(obj, "no_coalesce", JsonValue::make_bool(true));
     if (req.memo) put(obj, "memo", JsonValue::make_bool(true));
   }
   // params ride on any method that takes them (submit's workload knobs,
@@ -156,13 +192,7 @@ std::optional<Request> decode_request(const std::string& frame,
   if (!doc) return std::nullopt;
 
   Request req;
-  double id = -1.0;
-  if (!take_number(*doc, "id", &id, error)) return std::nullopt;
-  if (id < 0.0) {
-    if (error) *error = "missing or negative 'id'";
-    return std::nullopt;
-  }
-  req.id = static_cast<std::uint64_t>(id);
+  if (!take_id(*doc, &req.id, error)) return std::nullopt;
   if (!take_string(*doc, "method", &req.method, error)) return std::nullopt;
   if (req.method.empty()) {
     if (error) *error = "missing 'method'";
@@ -195,8 +225,10 @@ std::optional<Request> decode_request(const std::string& frame,
     req.params = params;
   }
 
-  double priority = 0.0;
-  if (!take_number(*doc, "priority", &priority, error)) return std::nullopt;
+  std::int64_t priority = 0;
+  if (!take_integer(*doc, "priority", -kMaxPriority, kMaxPriority, &priority,
+                    error))
+    return std::nullopt;
   req.priority = static_cast<int>(priority);
 
   if (doc->contains("deadline_ms")) {
@@ -209,8 +241,6 @@ std::optional<Request> decode_request(const std::string& frame,
     }
     req.deadline_ms = deadline;
   }
-  if (!take_bool(*doc, "no_coalesce", &req.no_coalesce, error))
-    return std::nullopt;
   if (!take_bool(*doc, "memo", &req.memo, error)) return std::nullopt;
   return req;
 }
@@ -248,13 +278,7 @@ std::optional<Response> decode_response(const std::string& frame,
   if (!doc) return std::nullopt;
 
   Response resp;
-  double id = -1.0;
-  if (!take_number(*doc, "id", &id, error)) return std::nullopt;
-  if (id < 0.0) {
-    if (error) *error = "missing or negative 'id'";
-    return std::nullopt;
-  }
-  resp.id = static_cast<std::uint64_t>(id);
+  if (!take_id(*doc, &resp.id, error)) return std::nullopt;
 
   std::string status_name;
   if (!take_string(*doc, "status", &status_name, error)) return std::nullopt;
@@ -267,8 +291,9 @@ std::optional<Response> decode_response(const std::string& frame,
 
   if (!take_string(*doc, "summary", &resp.summary, error))
     return std::nullopt;
-  double attempts = 0.0;
-  if (!take_number(*doc, "attempts", &attempts, error)) return std::nullopt;
+  std::int64_t attempts = 0;
+  if (!take_integer(*doc, "attempts", 0, kMaxExactInteger, &attempts, error))
+    return std::nullopt;
   resp.attempts = static_cast<std::uint64_t>(attempts);
   if (!take_bool(*doc, "degraded", &resp.degraded, error))
     return std::nullopt;
@@ -302,26 +327,6 @@ std::optional<Response> decode_response(const std::string& frame,
   }
   if (doc->contains("body")) resp.body = doc->at("body");
   return resp;
-}
-
-std::string coalesce_key(const Request& req) {
-  // json_dump of params is canonical enough here: clients that build the
-  // same params object the same way produce the same member order. A nonce
-  // member anywhere in params opts a request out naturally.
-  std::string key;
-  key.reserve(64);
-  key += req.tenant;
-  key += '\x1f';
-  key += core::to_string(req.kind);
-  key += '\x1f';
-  key += req.work;
-  key += '\x1f';
-  key += core::json_dump(req.params);
-  key += '\x1f';
-  key += std::to_string(req.priority);
-  key += '\x1f';
-  key += req.deadline_ms ? std::to_string(*req.deadline_ms) : std::string();
-  return key;
 }
 
 }  // namespace rebooting::net

@@ -6,8 +6,12 @@
 // Request (client -> server):
 //   {"v":1, "id":7, "method":"submit", "tenant":"alice",
 //    "work":"spin", "kind":"classical-cpu", "params":{"micros":50},
-//    "priority":0, "deadline_ms":250, "no_coalesce":false,
+//    "priority":0, "deadline_ms":250, "memo":false,
 //    "trace_id":"81985529216486895", "parent_span":"7"}
+//
+//   `id` must be an integer in [0, 2^53] (the doubles JSON numbers decode
+//   to hold every such integer exactly); `priority` an integer in
+//   [-2^30, 2^30], so the server's fair-share bias cannot overflow it.
 //
 //   methods: "ping"      liveness probe; params-free
 //            "status"    full ops snapshot (scheduler pools, tenants,
@@ -37,7 +41,7 @@
 //
 // Response (server -> client):
 //   {"id":7, "status":"ok", "summary":"...", "attempts":1,
-//    "degraded":false, "coalesced":false, "wall_seconds":1.2e-4,
+//    "degraded":false, "wall_seconds":1.2e-4,
 //    "trace_id":"81985529216486895", "streaming":false,
 //    "metrics":{"work.spin_micros":50}, "body":{...}}
 //
@@ -53,8 +57,9 @@
 // stops — so the "every request ends exactly once" invariant holds for
 // streams too.
 //
-// Parsing is strict about the types of known fields and silent about unknown
-// ones (forward compatibility across shard versions); decode_* return
+// Parsing is strict about the types and ranges of known fields and silent
+// about unknown ones (forward compatibility across shard versions, and
+// fields that older clients still send); decode_* return
 // nullopt with a diagnostic instead of throwing, since every byte here
 // crossed a trust boundary.
 #pragma once
@@ -89,13 +94,11 @@ struct Request {
                            ///< `watch` verb's interval_ms
   int priority = 0;
   std::optional<double> deadline_ms;
-  bool no_coalesce = false;
-  /// Opt into server-side memoization (DESIGN.md §14): the submit carries a
-  /// JobOptions::memo_key derived from (kind, work, params) — tenant and
-  /// priority excluded, so identical work collapses across tenants — and an
-  /// identical already-cached or in-flight submit replays/shares its result.
-  /// Unlike coalescing (a scheduling-window optimization), memoization
-  /// persists across time in the server's result cache.
+  /// Opt into server-side memoization (DESIGN.md §14), the service's only
+  /// deduplication: the submit carries a JobOptions::memo_key derived from
+  /// (kind, work, params) — tenant and priority excluded, so identical work
+  /// collapses across tenants — and an identical already-cached or in-flight
+  /// submit replays/shares its result.
   bool memo = false;
 };
 
@@ -122,7 +125,9 @@ struct Response {
   std::string summary;
   std::uint64_t attempts = 0;
   bool degraded = false;
-  bool coalesced = false;  ///< answered by a collapsed identical job
+  /// Kept on the wire for older clients and perfbench, which count it;
+  /// rebootd never sets it (deduplication is Request::memo).
+  bool coalesced = false;
   bool streaming = false;  ///< non-terminal watch frame; more follow
   std::uint64_t trace_id = 0;  ///< echo of the request's context (0 = none)
   double wall_seconds = 0.0;
@@ -138,10 +143,5 @@ std::optional<Request> decode_request(const std::string& frame,
 std::string encode_response(const Response& resp);
 std::optional<Response> decode_response(const std::string& frame,
                                         std::string* error = nullptr);
-
-/// The coalescing identity of a submit request: tenant, kind, work, params,
-/// priority, and deadline — everything that changes what executing it means.
-/// Two requests with equal keys may share one execution.
-std::string coalesce_key(const Request& req);
 
 }  // namespace rebooting::net

@@ -28,7 +28,7 @@ void on_signal(int) { g_stop.store(true); }
   std::fprintf(stderr,
                "usage: %s [--host H] [--port P] [--cpu-workers N]\n"
                "          [--queue-capacity N] [--high-water N] [--pumps N]\n"
-               "          [--coalesce-ms F] [--retries N] [--engines]\n"
+               "          [--retries N] [--engines]\n"
                "          [--quota-rate F --quota-burst F]\n"
                "Port 0 (default) picks an ephemeral port; the bound port is\n"
                "printed on stdout as 'rebootd listening on HOST:PORT'.\n",
@@ -63,8 +63,6 @@ int main(int argc, char** argv) {
       config.admission_high_water = static_cast<std::size_t>(number_arg(argc, argv, i, argv[0]));
     } else if (!std::strcmp(arg, "--pumps")) {
       config.pump_threads = static_cast<std::size_t>(number_arg(argc, argv, i, argv[0]));
-    } else if (!std::strcmp(arg, "--coalesce-ms")) {
-      config.coalesce_window_ms = number_arg(argc, argv, i, argv[0]);
     } else if (!std::strcmp(arg, "--retries")) {
       config.retry_attempts = static_cast<std::size_t>(number_arg(argc, argv, i, argv[0]));
     } else if (!std::strcmp(arg, "--quota-rate")) {

@@ -374,39 +374,6 @@ void Server::handle_submit(const std::shared_ptr<Connection>& conn,
     return;
   }
 
-  Waiter waiter;
-  waiter.conn = conn;
-  waiter.wire_id = req.id;
-  waiter.trace_id = req.trace_id;
-  waiter.received = now;
-  waiter.tenant = req.tenant;
-
-  // Coalescing: ride an identical in-window submit instead of re-running it.
-  std::string key;
-  if (!req.no_coalesce && config_.coalesce_window_ms > 0.0) {
-    key = net::coalesce_key(req);
-    std::lock_guard map_lock(coalesce_mutex_);
-    const auto it = coalesce_.find(key);
-    if (it != coalesce_.end() &&
-        std::chrono::duration<double, std::milli>(now - it->second.created_at)
-                .count() <= config_.coalesce_window_ms) {
-      std::lock_guard fanout_lock(it->second.fanout->mutex);
-      if (!it->second.fanout->closed) {
-        waiter.coalesced = true;
-        it->second.fanout->waiters.push_back(std::move(waiter));
-        TELEM_COUNT("net.coalesced");
-        return;  // the leader's pump completion answers this waiter too
-      }
-    }
-  }
-
-  auto fanout = std::make_shared<Fanout>();
-  fanout->waiters.push_back(std::move(waiter));
-  if (!key.empty()) {
-    std::lock_guard map_lock(coalesce_mutex_);
-    coalesce_[key] = CoalesceEntry{fanout, now};
-  }
-
   sched::JobOptions opts;
   opts.priority = req.priority + admission.priority_bias;
   if (req.deadline_ms)
@@ -419,15 +386,15 @@ void Server::handle_submit(const std::shared_ptr<Connection>& conn,
   if (req.memo) {
     // Memoization identity: what runs (kind, work, params) — NOT who asked
     // (tenant) or how urgently (priority/deadline), so identical work
-    // collapses across tenants. json_dump of params is canonical enough for
-    // same-client repeats, same argument as coalesce_key().
+    // collapses across tenants. json_dump of params is canonical enough
+    // here: clients that build the same params object the same way produce
+    // the same member order, and a nonce member opts a request out.
     opts.memo_key = core::to_string(req.kind) + '\x1f' + req.work + '\x1f' +
                     core::json_dump(req.params);
   }
 
   Pending pending;
-  pending.fanout = std::move(fanout);
-  pending.key = std::move(key);
+  pending.waiter = Waiter{conn, req.id, req.trace_id, now, req.tenant};
   pending.rid = rid;
   pending.flow = req.trace_id != 0 ? req.trace_id : rid;
   pending.remote = req.trace_id != 0;
@@ -438,23 +405,11 @@ void Server::handle_submit(const std::shared_ptr<Connection>& conn,
     pending.future = scheduler_.submit(
         req.tenant + "/" + req.work, req.kind, std::move(*payload), opts);
   } catch (const std::exception& e) {
-    // Shutdown raced the running_ check; answer every waiter typed.
-    net::Response resp;
-    resp.status = net::Status::kShuttingDown;
-    resp.summary = e.what();
-    std::lock_guard fanout_lock(pending.fanout->mutex);
-    pending.fanout->closed = true;
-    for (const Waiter& w : pending.fanout->waiters) {
-      resp.id = w.wire_id;
-      resp.trace_id = w.trace_id;
-      resp.coalesced = w.coalesced;
-      send_response(w.conn, resp);
-      governor_.release(w.tenant);
-    }
-    if (!pending.key.empty()) {
-      std::lock_guard map_lock(coalesce_mutex_);
-      coalesce_.erase(pending.key);
-    }
+    // Shutdown raced the running_ check; answer typed.
+    reject.status = net::Status::kShuttingDown;
+    reject.summary = e.what();
+    send_response(conn, reject);
+    governor_.release(req.tenant);
     return;
   }
 
@@ -486,50 +441,31 @@ void Server::complete(Pending&& pending) {
   TELEM_TRACE_SCOPE("net.reply");
   TELEM_TRACE_FLOW_STEP("net.request", pending.flow);
 
-  net::Response base;
+  net::Response resp;
   try {
     const core::JobResult result = pending.future.get();
-    base.status = status_of(result);
-    base.summary = result.summary;
-    base.attempts = result.attempts;
-    base.degraded = result.degraded;
-    base.wall_seconds = result.wall_seconds;
-    base.metrics = result.metrics;
-    if (base.status == net::Status::kOverloaded)
-      base.retry_after_ms = overload_retry_hint(pending.kind);
+    resp.status = status_of(result);
+    resp.summary = result.summary;
+    resp.attempts = result.attempts;
+    resp.degraded = result.degraded;
+    resp.wall_seconds = result.wall_seconds;
+    resp.metrics = result.metrics;
+    if (resp.status == net::Status::kOverloaded)
+      resp.retry_after_ms = overload_retry_hint(pending.kind);
   } catch (const std::exception& e) {
-    base.status = net::Status::kError;
-    base.summary = e.what();
+    resp.status = net::Status::kError;
+    resp.summary = e.what();
   }
 
-  // Retire the coalescer entry *before* closing the fanout (map lock first,
-  // matching handle_submit), so a new identical request starts a fresh job
-  // instead of attaching to this closed one.
-  if (!pending.key.empty()) {
-    std::lock_guard map_lock(coalesce_mutex_);
-    const auto it = coalesce_.find(pending.key);
-    if (it != coalesce_.end() && it->second.fanout == pending.fanout)
-      coalesce_.erase(it);
-  }
-
-  std::vector<Waiter> waiters;
-  {
-    std::lock_guard lock(pending.fanout->mutex);
-    pending.fanout->closed = true;
-    waiters = std::move(pending.fanout->waiters);
-  }
+  const Waiter& waiter = pending.waiter;
+  resp.id = waiter.wire_id;
+  resp.trace_id = waiter.trace_id;
   const auto now = Clock::now();
-  for (const Waiter& waiter : waiters) {
-    net::Response resp = base;
-    resp.id = waiter.wire_id;
-    resp.trace_id = waiter.trace_id;
-    resp.coalesced = waiter.coalesced;
-    send_response(waiter.conn, resp);
-    TELEM_RECORD(
-        "net.request_seconds",
-        std::chrono::duration<core::Real>(now - waiter.received).count());
-    governor_.release(waiter.tenant);
-  }
+  send_response(waiter.conn, resp);
+  TELEM_RECORD(
+      "net.request_seconds",
+      std::chrono::duration<core::Real>(now - waiter.received).count());
+  governor_.release(waiter.tenant);
   // A remote chain is closed by the client's recv; ending it here too would
   // give the flow two heads in the merged view.
   if (pending.remote)
@@ -654,7 +590,7 @@ net::Response Server::status_response(const net::Request& req) const {
 
   core::JsonValue::Members counters;
   for (const char* name :
-       {"net.connections", "net.requests", "net.responses", "net.coalesced",
+       {"net.connections", "net.requests", "net.responses",
         "net.rejected_overloaded", "net.rejected_quota", "net.bad_request",
         "net.frame_errors", "net.frame_oversized", "net.bytes_in",
         "net.bytes_out"})

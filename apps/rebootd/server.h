@@ -6,15 +6,15 @@
 //   accept loop (1)    poll-based; hands each connection a reader thread.
 //                      Admission problems never reach this thread.
 //   readers (1/conn)   read_frame -> decode -> admission (quota, then
-//                      queue high-water) -> coalesce -> Scheduler::submit.
+//                      queue high-water) -> Scheduler::submit.
 //                      Submission uses kReject backpressure, so a reader
 //                      never sleeps on a full queue: the overload answer is
 //                      a typed frame, written immediately.
 //   pumps (N)          bridge the scheduler's std::future completions back
 //                      to sockets: block on future.get(), map the
-//                      JobDisposition to a wire Status, fan the response out
-//                      to every coalesced waiter (per-connection write
-//                      mutex; a reader and a pump may share a socket).
+//                      JobDisposition to a wire Status, write the response
+//                      (per-connection write mutex; a reader and a pump may
+//                      share a socket).
 //   watch pump (1)     pushes periodic metrics frames (telemetry::Sampler
 //                      ticks) to every `watch` subscriber; at stop() it owes
 //                      each subscriber one terminal frame.
@@ -25,10 +25,11 @@
 // kFlushed -> pumps drain every remaining future) turns in-flight work into
 // kShuttingDown responses instead of dropping it.
 //
-// Coalescing: identical submits (net::coalesce_key) arriving within
-// coalesce_window_ms share one scheduler job; every waiter gets its own
-// response frame (coalesced=true for the riders). The window keys on the
-// *leader's* arrival, so a hot key cannot chain a window forever.
+// Deduplication: every submit becomes its own Scheduler::submit. Identical
+// work shares one execution only when the client opts in with `memo`
+// (DESIGN.md §14): the scheduler's memo cache replays a finished result and
+// its single-flight collapses an identical in-flight job, and every caller
+// still gets its own future and response frame.
 #pragma once
 
 #include <atomic>
@@ -36,7 +37,6 @@
 #include <cstdint>
 #include <deque>
 #include <list>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -65,7 +65,6 @@ struct ServerConfig {
   std::size_t admission_high_water = 0;
   std::size_t pump_threads = 2;
   std::size_t max_frame_bytes = net::kMaxFrameBytes;
-  double coalesce_window_ms = 5.0;
   /// RetryPolicy for submitted workloads; all workloads are self-contained,
   /// so cpu_fallback is always enabled.
   std::size_t retry_attempts = 3;
@@ -116,30 +115,19 @@ class Server {
   struct Waiter {
     std::shared_ptr<Connection> conn;
     std::uint64_t wire_id = 0;
-    /// The waiter's own distributed trace context (0 = none), echoed in its
-    /// response frame. Coalesced riders keep their own ids even though the
-    /// flow chain follows the leader's.
+    /// The request's distributed trace context (0 = none), echoed in its
+    /// response frame.
     std::uint64_t trace_id = 0;
     Clock::time_point received{};
-    bool coalesced = false;
     std::string tenant;
   };
 
-  /// The waiters sharing one scheduler job. closed flips (under mutex) when
-  /// the pump starts fanning out, so late attach attempts start a new job.
-  struct Fanout {
-    std::mutex mutex;
-    bool closed = false;
-    std::vector<Waiter> waiters;
-  };
-
-  /// Pump work item: one scheduler future plus its fanout.
+  /// Pump work item: one scheduler future plus the response it owes.
   struct Pending {
     std::future<core::JobResult> future;
-    std::shared_ptr<Fanout> fanout;
-    std::string key;  ///< coalescer entry to retire ("" = uncoalesced)
+    Waiter waiter;
     std::uint64_t rid = 0;
-    /// "net.request" flow-chain id: the client's trace_id when the leader
+    /// "net.request" flow-chain id: the client's trace_id when the request
     /// carried one, else the server-local rid. `remote` distinguishes the
     /// two at complete(): a remote chain gets a flow *step* at reply time
     /// (the client's recv closes it), a local one gets the flow end here.
@@ -190,7 +178,7 @@ class Server {
   double overload_retry_hint(core::AcceleratorKind kind) const;
   void send_response(const std::shared_ptr<Connection>& conn,
                      const net::Response& resp);
-  /// Completes one fanout from a settled future (or exception).
+  /// Answers one pending request from its settled future (or exception).
   void complete(Pending&& pending);
   void reap_readers(bool all);
 
@@ -223,13 +211,6 @@ class Server {
   std::vector<WatchSub> watchers_;
   bool watch_closed_ = false;
   std::thread watch_thread_;
-
-  std::mutex coalesce_mutex_;
-  struct CoalesceEntry {
-    std::shared_ptr<Fanout> fanout;
-    Clock::time_point created_at{};
-  };
-  std::map<std::string, CoalesceEntry> coalesce_;
 };
 
 }  // namespace rebooting::rebootd

@@ -69,7 +69,7 @@ class TenantGovernor {
   /// Charges one token and one in-flight slot to `tenant`.
   Admission admit(const std::string& tenant, Clock::time_point now);
   /// Returns `tenant`'s in-flight slot; called once per admitted request
-  /// when its response is sent (coalesced waiters each hold their own slot).
+  /// when its response is sent (memo riders each hold their own slot).
   void release(const std::string& tenant);
 
   std::map<std::string, TenantStats> stats() const;

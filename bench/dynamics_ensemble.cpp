@@ -10,8 +10,8 @@
 //     ensemble beats the serial run by >= 3x on >= 8 cores, >= 1.8x on 4-7
 //     cores; below 4 cores the curve is reported but not gated.
 //
-// Plus an ungated static-vs-dynamic dispatch microbenchmark: the templated
-// kernel path must not be slower than the std::function path it replaced.
+// Plus an ungated stepping microbenchmark: ns per state element of the
+// templated kernel path on a pure decay system.
 #include <chrono>
 #include <cmath>
 #include <fstream>
@@ -21,7 +21,6 @@
 
 #include "bench_util.h"
 #include "core/json.h"
-#include "core/ode.h"
 #include "core/table.h"
 #include "memcomputing/dmm.h"
 #include "memcomputing/sat.h"
@@ -63,9 +62,8 @@ bool sweeps_identical(const DmmEnsembleResult& a, const DmmEnsembleResult& b) {
   return true;
 }
 
-/// Static-vs-dynamic dispatch on a pure stepping workload: the same decay
-/// system driven through the templated kernel and through the std::function
-/// adapter. Returns ns per RHS-state element.
+/// Pure stepping workload: a decay system driven through the templated
+/// kernel. Returns ns per RHS-state element.
 struct DecayKernel {
   void rhs(core::Real, std::span<const core::Real> y,
            std::span<core::Real> dydt) const {
@@ -73,7 +71,7 @@ struct DecayKernel {
   }
 };
 
-std::pair<core::Real, core::Real> dispatch_microbench() {
+core::Real stepping_microbench() {
   constexpr std::size_t kDim = 64;
   constexpr core::Real kT1 = 200.0;
   constexpr core::Real kDt = 1e-3;
@@ -81,23 +79,13 @@ std::pair<core::Real, core::Real> dispatch_microbench() {
   DecayKernel kernel;
   core::Workspace ws;
   std::vector<core::Real> y(kDim, 1.0);
-  auto start = Clock::now();
+  const auto start = Clock::now();
   core::integrate_fixed(kernel, core::Scheme::kHeun, 0.0, kT1, kDt,
                         std::span<core::Real>(y), ws);
   const core::Real kernel_s = seconds_since(start);
 
-  const core::OdeRhs fn = [](core::Real, std::span<const core::Real> yy,
-                             std::span<core::Real> dydt) {
-    for (std::size_t i = 0; i < yy.size(); ++i) dydt[i] = -yy[i];
-  };
-  std::vector<core::Real> y2(kDim, 1.0);
-  start = Clock::now();
-  core::integrate_fixed(fn, core::Scheme::kHeun, 0.0, kT1, kDt, y2);
-  const core::Real fn_s = seconds_since(start);
-
   const auto steps = static_cast<core::Real>(kT1 / kDt);
-  const core::Real scale = 1e9 / (steps * static_cast<core::Real>(kDim));
-  return {kernel_s * scale, fn_s * scale};
+  return kernel_s * 1e9 / (steps * static_cast<core::Real>(kDim));
 }
 
 }  // namespace
@@ -134,7 +122,7 @@ int main(int argc, char** argv) {
   const bool reproducible =
       sweeps_identical(serial, parallel) && sweeps_identical(serial, two);
   const core::Real speedup = parallel_s > 0.0 ? serial_s / parallel_s : 0.0;
-  const auto [kernel_ns, fn_ns] = dispatch_microbench();
+  const core::Real kernel_ns = stepping_microbench();
 
   core::Table table({"metric", "value"}, 4);
   table.add_row({std::string("hardware cores"),
@@ -149,7 +137,6 @@ int main(int argc, char** argv) {
   table.add_row({std::string("bit-reproducible across 1/2/all threads"),
                  std::string(reproducible ? "yes" : "NO")});
   table.add_row({std::string("kernel stepping [ns/elem]"), kernel_ns});
-  table.add_row({std::string("std::function stepping [ns/elem]"), fn_ns});
   std::cout << '\n';
   table.print(std::cout);
 
@@ -201,8 +188,6 @@ int main(int argc, char** argv) {
          << core::json_number(static_cast<std::int64_t>(serial.best_index))
          << ",\n"
          << "  \"kernel_ns_per_element\": " << core::json_number(kernel_ns)
-         << ",\n"
-         << "  \"function_ns_per_element\": " << core::json_number(fn_ns)
          << "\n}\n";
     std::cout << "wrote " << out_path << '\n';
   }

@@ -1,16 +1,15 @@
-// E10 — Fig. 1/2 reproduction: the quantum accelerator as one device in a
-// heterogeneous host system, with the full stack (application -> algorithm ->
-// compiler -> QISA -> microarchitecture -> device) reporting per-layer
-// statistics for representative workloads, plus the compiler ablation
-// (topology and optimizer) called out in DESIGN.md.
+// E10 — Fig. 1/2 reproduction: the quantum accelerator as one device pool of
+// the heterogeneous host (sched::Scheduler), with the full stack
+// (application -> algorithm -> compiler -> QISA -> microarchitecture ->
+// device) reporting per-layer statistics for representative workloads, plus
+// the compiler ablation (topology and optimizer) called out in DESIGN.md.
 #include <iostream>
-#include <memory>
 
-#include "core/accelerator.h"
 #include "core/table.h"
 #include "quantum/algorithms.h"
 #include "quantum/qisa.h"
 #include "quantum/runtime.h"
+#include "scheduler/scheduler.h"
 
 using namespace rebooting;
 using namespace rebooting::quantum;
@@ -38,11 +37,12 @@ int main() {
                      "E10 / Fig. 1+2 — quantum accelerator stack in the "
                      "heterogeneous host");
 
+  // One quantum worker; each workload is submitted and awaited in turn, so
+  // the shared rng is drawn in workload order.
   core::Rng rng(8);
-  core::HostSystem host;
-  auto accel = std::make_shared<QuantumAccelerator>(
-      QuantumDeviceConfig{.topology = Topology::line(8)});
-  host.register_accelerator(accel);
+  sched::Scheduler host;
+  host.add_pool(core::AcceleratorKind::kQuantum, 1,
+                QuantumAccelerator::factory({.topology = Topology::line(8)}));
 
   struct Workload {
     const char* name;
@@ -63,12 +63,9 @@ int main() {
                      "device time/shot [us]"},
                     2);
   for (const auto& [name, circuit] : workloads) {
-    core::Job job;
-    job.name = name;
-    job.kind = core::AcceleratorKind::kQuantum;
-    const Circuit* cptr = &circuit;
-    job.payload = [&, cptr] {
-      const ExecutionResult res = accel->run(*cptr, 256, rng);
+    const auto payload = [&](core::Accelerator& accel) {
+      const ExecutionResult res =
+          static_cast<QuantumAccelerator&>(accel).run(circuit, 256, rng);
       core::JobResult jr;
       jr.ok = true;
       jr.metrics["compile.source_gates"] =
@@ -87,7 +84,8 @@ int main() {
           res.device_seconds / static_cast<core::Real>(res.shots);
       return jr;
     };
-    const core::JobResult jr = host.submit(job);
+    const core::JobResult jr =
+        host.submit(name, core::AcceleratorKind::kQuantum, payload).get();
     table.add_row(
         {std::string(name),
          static_cast<std::int64_t>(jr.metrics.at("compile.source_gates")),

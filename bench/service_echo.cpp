@@ -3,10 +3,10 @@
 // machine-readable BENCH_service.json.
 //
 // Setup: one in-process Server on 127.0.0.1:<ephemeral>, classical-cpu pool
-// only, coalescing bypassed (no_coalesce on every request). kThreads client
-// threads each hold one pipelined connection with kWindow "echo" submits in
-// flight and exact accounting: at the end, sent == received and every
-// response id was seen exactly once.
+// only, no memoization (every echo runs). kThreads client threads each hold
+// one pipelined connection with kWindow "echo" submits in flight and exact
+// accounting: at the end, sent == received and every response id was seen
+// exactly once.
 //
 // The gate is deliberately conservative — kMinRps is an order of magnitude
 // below what the loopback path sustains on the 4-vCPU CI runners — because
@@ -59,7 +59,6 @@ net::Request echo_request(std::uint64_t id) {
   req.method = "submit";
   req.tenant = "bench";
   req.work = "echo";
-  req.no_coalesce = true;
   return req;
 }
 

@@ -1,16 +1,16 @@
-// The heterogeneous-accelerator runtime of Fig. 1 and the layered stack of
-// Fig. 2.
+// The accelerator abstraction of Fig. 1 and the layered stack of Fig. 2.
 //
 // The paper's Sec. II thesis is that post-von-Neumann devices slot into a
 // host system the way GPUs/FPGAs/TPUs do: the host dispatches jobs to an
 // accelerator, and each accelerator is a full stack (application → algorithm
 // → compiler → runtime → ISA → microarchitecture → device). This header
-// defines the host-side abstractions; each engine (quantum, oscillator,
-// memcomputing) registers a concrete Accelerator.
+// defines the job and accelerator types; each engine (quantum, oscillator,
+// memcomputing) provides a concrete Accelerator and a factory for it. The
+// host itself is sched::Scheduler (src/scheduler/), which owns one worker
+// pool of accelerator replicas per kind.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -61,9 +61,9 @@ struct JobResult {
   bool ok = false;
   std::string summary;  ///< one-line human-readable outcome
   Metrics metrics;
-  Real wall_seconds = 0.0;  ///< host-measured end-to-end latency
+  Real wall_seconds = 0.0;  ///< scheduler-measured run time over attempts
   // --- resilience bookkeeping (filled by the sched::Scheduler execution
-  // layer; a synchronous HostSystem::submit leaves the defaults) -----------
+  // layer) -------------------------------------------------------------------
   JobDisposition disposition = JobDisposition::kExecuted;
   std::size_t attempts = 0;  ///< execution attempts consumed (0 = never ran)
   bool degraded = false;  ///< ok, but only via retries or failover
@@ -74,7 +74,7 @@ struct JobResult {
 };
 
 /// A unit of offloadable work. The payload closure runs on (and typically
-/// captures) a specific accelerator's typed API; the host layer only sees the
+/// captures) a specific accelerator's typed API; the scheduler only sees the
 /// uniform JobResult.
 struct Job {
   std::string name;
@@ -85,7 +85,7 @@ struct Job {
 /// One execution resource in the heterogeneous system. Concrete accelerators
 /// (the quantum stack, the oscillator array, the DMM engine) subclass this and
 /// additionally expose their own typed APIs; the base class is what the
-/// HostSystem scheduler sees.
+/// scheduler sees.
 class Accelerator {
  public:
   virtual ~Accelerator() = default;
@@ -97,7 +97,7 @@ class Accelerator {
   /// to bottom (device), for reporting.
   virtual std::vector<std::string> stack_layers() const = 0;
 
-  /// Number of jobs this accelerator has completed via a dispatch layer.
+  /// Number of jobs this accelerator has completed under the scheduler.
   std::size_t jobs_completed() const {
     return jobs_completed_.load(std::memory_order_relaxed);
   }
@@ -107,8 +107,8 @@ class Accelerator {
   }
 
   /// Folds one completed job into the utilization counters. Called by the
-  /// dispatch layers (HostSystem::submit, sched::Scheduler workers); safe to
-  /// call from multiple threads concurrently.
+  /// sched::Scheduler workers; safe to call from multiple threads
+  /// concurrently.
   void record_completion(Real busy_seconds) {
     jobs_completed_.fetch_add(1, std::memory_order_relaxed);
     busy_seconds_.fetch_add(busy_seconds, std::memory_order_relaxed);
@@ -120,15 +120,14 @@ class Accelerator {
 };
 
 /// Constructs a fresh accelerator instance. The sched::Scheduler worker pools
-/// use this to replicate an accelerator N times per kind — lifting the
-/// HostSystem one-per-kind restriction — with each replica owned by exactly
-/// one worker thread. Each engine exposes a `static factory(...)` returning
-/// one of these bound to its config.
+/// use this to replicate an accelerator N times per kind, with each replica
+/// owned by exactly one worker thread. Each engine exposes a
+/// `static factory(...)` returning one of these bound to its config.
 using AcceleratorFactory = std::function<std::shared_ptr<Accelerator>()>;
 
 /// The host CPU itself as a schedulable resource, so classical jobs (baseline
-/// solvers, pre/post-processing) flow through the same dispatch paths as the
-/// post-von-Neumann accelerators instead of bypassing the job log.
+/// solvers, pre/post-processing) flow through the same scheduler as the
+/// post-von-Neumann accelerators.
 class CpuAccelerator final : public Accelerator {
  public:
   std::string name() const override { return "Classical CPU (host)"; }
@@ -142,54 +141,6 @@ class CpuAccelerator final : public Accelerator {
   }
 
   static AcceleratorFactory factory();
-};
-
-/// Record of one dispatched job, kept in the host log.
-struct JobRecord {
-  std::string job_name;
-  std::string accelerator_name;
-  AcceleratorKind kind = AcceleratorKind::kClassicalCpu;
-  JobResult result;
-};
-
-/// The host of Fig. 1: owns the accelerator registry, dispatches jobs to the
-/// matching resource, measures wall time, and keeps a job log with metrics.
-/// This is the synchronous, single-threaded dispatch path; the asynchronous
-/// multi-worker path is sched::Scheduler (src/scheduler/), which replicates
-/// accelerators via AcceleratorFactory and shares the same per-accelerator
-/// utilization counters.
-class HostSystem {
- public:
-  /// Registers an accelerator. At most one accelerator per kind; a duplicate
-  /// kind throws std::invalid_argument naming the kind and the accelerator
-  /// already holding it. (Replication happens in sched::Scheduler pools, not
-  /// here.)
-  void register_accelerator(std::shared_ptr<Accelerator> accel);
-
-  bool has(AcceleratorKind kind) const;
-
-  /// The registered accelerator of the given kind; throws std::out_of_range
-  /// if none.
-  Accelerator& accelerator(AcceleratorKind kind);
-
-  /// Runs the job on the accelerator of job.kind, measuring wall time, and
-  /// appends a JobRecord. Throws std::out_of_range when no accelerator of
-  /// that kind is registered; a payload returning ok=false is recorded, not
-  /// thrown.
-  JobResult submit(const Job& job);
-
-  const std::vector<JobRecord>& log() const { return log_; }
-
-  /// Aggregate metric across the log: sum of `key` over records that carry it.
-  Real total_metric(const std::string& key) const;
-
-  /// Multi-line report of registered accelerators, their stacks, and the
-  /// utilization counters — the textual form of the Fig. 1 system picture.
-  std::string describe() const;
-
- private:
-  std::map<AcceleratorKind, std::shared_ptr<Accelerator>> accelerators_;
-  std::vector<JobRecord> log_;
 };
 
 }  // namespace rebooting::core

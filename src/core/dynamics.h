@@ -1,20 +1,19 @@
-// Static-dispatch dynamics kernels: the integration hot path of both physics
-// engines, without std::function.
+// Initial-value ODE integrators: the integration hot path of both physics
+// engines, with static dispatch.
 //
-// The legacy ode.h API types every right-hand side as a std::function, which
-// costs an indirect call per RHS evaluation (2 per Heun step, 6 per RKF45
-// step) and blocks inlining of the step arithmetic into the RHS loop. The
-// ensemble workloads of Sec. III/IV (restart sweeps, noise seeds, coupling
-// ablations) evaluate the RHS billions of times, so here the kernel is a
-// *type*: any struct with an inlinable
+// Both the VO2 oscillator network (Sec. III) and the digital memcomputing
+// machine (Sec. IV, Eqs. 1-2) are systems of nonlinear ODEs: the oscillator
+// waveforms need dense fixed-step output, the DMM an adaptive step. The
+// ensemble workloads (restart sweeps, noise seeds, coupling ablations)
+// evaluate the RHS billions of times, so the kernel is a *type* rather than a
+// std::function (an indirect call per evaluation that blocks inlining): any
+// struct with an inlinable
 //
 //   void rhs(Real t, std::span<const Real> y, std::span<Real> dydt)
 //
 // member (const or not — stateful kernels such as the SOLG gate-memory sweep
 // mutate themselves) can be passed to the templated steppers and drivers
-// below, and the compiler fuses RHS and stepper into one loop nest. ode.h
-// remains as a thin adapter (FunctionKernel) so existing call sites keep
-// compiling unchanged.
+// below, and the compiler fuses RHS and stepper into one loop nest.
 //
 // Scratch ownership moves to the caller: a Workspace is a grow-only arena of
 // Real/byte blocks that a trajectory body acquires from once per solve and
@@ -106,7 +105,7 @@ class Workspace {
   std::size_t byte_cursor_ = 0;
 };
 
-/// Fixed-step integration schemes (shared with the legacy ode.h API).
+/// Fixed-step integration schemes.
 enum class Scheme { kEuler, kHeun, kRk4 };
 
 /// Tag type for "no observer": the drivers compile the observer branch out.
@@ -296,7 +295,7 @@ Real integrate_fixed(Kernel& f, Scheme scheme, Real t0, Real t1, Real dt,
       .t_reached;
 }
 
-/// Adaptive Runge–Kutta–Fehlberg 4(5) controls (shared with ode.h).
+/// Adaptive Runge–Kutta–Fehlberg 4(5) controls.
 struct AdaptiveOptions {
   Real abs_tol = 1e-8;
   Real rel_tol = 1e-6;

@@ -50,7 +50,7 @@ struct QuantumDeviceConfig {
 };
 
 /// The quantum accelerator of Fig. 1: owns the device config and offers the
-/// typed run() API; registered with a HostSystem via the Accelerator base.
+/// typed run() API; a scheduler pool runs replicas built by factory().
 class QuantumAccelerator final : public core::Accelerator {
  public:
   explicit QuantumAccelerator(QuantumDeviceConfig config);

@@ -902,6 +902,10 @@ std::string Scheduler::describe() const {
        << " x " << pool->replicas.front()->name() << " — " << jobs
        << " job(s), " << busy << " s busy, " << pool->queue.size()
        << " queued\n";
+    // The Fig. 2 stack of this kind, top (application) to bottom (device).
+    const auto layers = pool->replicas.front()->stack_layers();
+    for (std::size_t i = 0; i < layers.size(); ++i)
+      os << "      L" << (layers.size() - i) << ": " << layers[i] << '\n';
   }
   return os.str();
 }

@@ -1,9 +1,8 @@
-// The asynchronous heterogeneous job scheduler — the runtime that turns the
-// Fig. 1 picture into a concurrent system. Where core::HostSystem dispatches
-// one job at a time on the caller's thread, sched::Scheduler owns, per
-// AcceleratorKind, a pool of N worker threads, each with its *own* accelerator
-// replica built from a core::AcceleratorFactory (lifting the host's
-// one-per-kind restriction), all fed by one bounded MPMC priority queue.
+// The asynchronous heterogeneous job scheduler — the host of Fig. 1. It
+// owns, per AcceleratorKind, a pool of N worker threads, each with its *own*
+// accelerator replica built from a core::AcceleratorFactory, all fed by one
+// bounded MPMC priority queue. A synchronous caller is one that submits and
+// calls .get() on the future straight away.
 //
 //   submit()        -> std::future<core::JobResult>, with per-job priority,
 //                      deadline, cooperative cancellation, and RetryPolicy
@@ -25,9 +24,13 @@
 // open or their attempts are exhausted. Results carry attempt counts, a
 // fault log, and a `degraded` flag instead of a silent ok=false.
 //
-// Telemetry (when enabled): queue-depth gauges `sched.queue_depth.<kind>`,
-// wait/service/latency histograms `sched.{wait,service,latency}_seconds`,
-// per-kind counters `sched.jobs.<kind>` and `sched.busy_seconds.<kind>`, and
+// Telemetry (when enabled): a `sched.<kind>` span around every payload
+// attempt (engine spans opened inside the payload nest under it), executed-
+// job counters `sched.jobs` / `sched.jobs_failed` with every
+// JobResult::metrics key merged in as a counter, queue-depth gauges
+// `sched.queue_depth.<kind>`, wait/service/latency histograms
+// `sched.{wait,service,latency}_seconds`, per-kind counters
+// `sched.jobs.<kind>` and `sched.busy_seconds.<kind>`, and
 // outcome counters `sched.deadline_missed` / `sched.rejected` / `sched.shed`
 // / `sched.cancelled` / `sched.flushed` / `sched.payload_exceptions`, plus
 // the resilience counters `sched.attempts` / `sched.retries` /
@@ -203,8 +206,9 @@ class Scheduler {
   /// by replica; throws std::out_of_range when no such pool exists.
   std::vector<ReplicaHealth> health(core::AcceleratorKind kind) const;
 
-  /// Multi-line report of the pools, their replicas, and utilization — the
-  /// concurrent counterpart of HostSystem::describe().
+  /// Multi-line report of the pools, their replicas, utilization, and each
+  /// kind's Fig. 2 stack layers (L<n> application down to L1 device) — the
+  /// textual form of the Fig. 1 system picture.
   std::string describe() const;
 
  private:

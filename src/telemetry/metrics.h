@@ -77,7 +77,7 @@ class Histogram {
 /// The process-wide named-metric store of the tentpole: counters accumulate,
 /// gauges overwrite, histograms bucket. Names are dotted paths such as
 /// "oscillator.hysteresis_events" — the same convention as core::Metrics keys,
-/// so HostSystem can merge job metrics straight in.
+/// so the scheduler can merge job metrics straight in.
 class MetricsRegistry {
  public:
   /// Adds `delta` to the named counter (creating it at 0).

@@ -1,8 +1,7 @@
 // Rendering backends of the telemetry layer: the aligned console report
-// (core::Table) and the machine-readable JSON export, plus the process-exit
-// flushing driven by REBOOTING_TELEMETRY / REBOOTING_TELEMETRY_JSON.
-#include <cstdio>
-#include <cstdlib>
+// (core::Table) and the machine-readable JSON export. The process-exit
+// flushing driven by REBOOTING_TELEMETRY / REBOOTING_TELEMETRY_JSON lives
+// with the environment parsing in telemetry.cpp.
 #include <fstream>
 #include <sstream>
 
@@ -165,17 +164,6 @@ bool Telemetry::write_json(const std::string& path) const {
   if (!out) return false;
   out << to_json() << '\n';
   return static_cast<bool>(out);
-}
-
-void Telemetry::flush_env_sinks() const {
-  const char* json = std::getenv("REBOOTING_TELEMETRY_JSON");
-  if (json != nullptr && *json != '\0') {
-    if (!write_json(json))
-      std::fprintf(stderr, "telemetry: failed to write JSON to %s\n", json);
-  }
-  const char* on = std::getenv("REBOOTING_TELEMETRY");
-  if (on != nullptr && *on != '\0' && std::string_view(on) != "0")
-    std::fputs(report().c_str(), stderr);
 }
 
 }  // namespace rebooting::telemetry

@@ -111,10 +111,10 @@ class Telemetry {
   std::string report() const;
   /// The whole telemetry state as a JSON document.
   std::string to_json() const;
-  /// Writes to_json() to `path`; returns false on I/O failure.
+  /// Writes to_json() to `path`; returns false on I/O failure. The exit hook
+  /// installed for REBOOTING_TELEMETRY_JSON / REBOOTING_TELEMETRY calls this
+  /// and report() (telemetry.cpp).
   bool write_json(const std::string& path) const;
-  /// Honors REBOOTING_TELEMETRY_JSON / REBOOTING_TELEMETRY at process exit.
-  void flush_env_sinks() const;
 
  private:
   Telemetry() : root_("root") {}

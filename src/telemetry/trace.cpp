@@ -1,7 +1,6 @@
 #include "telemetry/trace.h"
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -257,23 +256,6 @@ bool TraceRecorder::write_json(const std::string& path) const {
   if (!out) return false;
   out << to_json() << '\n';
   return static_cast<bool>(out);
-}
-
-void TraceRecorder::flush_env_sink() const {
-  const char* path = std::getenv("REBOOTING_TRACE");
-  if (path == nullptr || *path == '\0') return;
-  if (!write_json(path)) {
-    std::fprintf(stderr, "trace: failed to write %s\n", path);
-    return;
-  }
-  std::uint64_t events = 0;
-  const auto timelines = snapshot();
-  for (const auto& tl : timelines) events += tl.events.size();
-  std::fprintf(stderr,
-               "trace: wrote %llu event(s) from %zu thread(s) to %s"
-               " (%llu dropped)\n",
-               static_cast<unsigned long long>(events), timelines.size(), path,
-               static_cast<unsigned long long>(dropped_events()));
 }
 
 void TraceRecorder::reset() {

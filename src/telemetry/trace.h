@@ -193,10 +193,9 @@ class TraceRecorder {
   /// The Chrome trace-event JSON document ({"traceEvents":[...]}). Folds
   /// dropped_events() into the metrics registry as `trace.dropped_events`.
   std::string to_json() const;
-  /// Writes to_json() to `path`; returns false on I/O failure.
+  /// Writes to_json() to `path`; returns false on I/O failure. With
+  /// REBOOTING_TRACE set, telemetry.cpp's exit hook calls this.
   bool write_json(const std::string& path) const;
-  /// Honors REBOOTING_TRACE at process exit (no-op when unset).
-  void flush_env_sink() const;
 
   /// Drops all rings, interned names, and thread registrations. Requires
   /// quiescence, like snapshot(). Threads re-register on their next event.

@@ -26,7 +26,6 @@ TEST(Protocol, RequestRoundTripsEveryField) {
       {{"micros", core::JsonValue::make_number(50.0)}});
   req.priority = 3;
   req.deadline_ms = 250.0;
-  req.no_coalesce = true;
   req.memo = true;
 
   const auto decoded = decode_request(encode_request(req));
@@ -40,7 +39,6 @@ TEST(Protocol, RequestRoundTripsEveryField) {
   EXPECT_EQ(decoded->priority, 3);
   ASSERT_TRUE(decoded->deadline_ms.has_value());
   EXPECT_DOUBLE_EQ(*decoded->deadline_ms, 250.0);
-  EXPECT_TRUE(decoded->no_coalesce);
   EXPECT_TRUE(decoded->memo);
 }
 
@@ -195,29 +193,70 @@ TEST(Protocol, DecodeIsStrictOnTypesAndSilentOnUnknownFields) {
   EXPECT_EQ(req->method, "ping");
 }
 
-TEST(Protocol, CoalesceKeySeparatesWhatMustNotMerge) {
-  Request a;
-  a.id = 1;
-  a.method = "submit";
-  a.tenant = "alice";
-  a.work = "spin";
-  Request b = a;
-  b.id = 2;  // ids never enter the key
-  EXPECT_EQ(coalesce_key(a), coalesce_key(b));
+TEST(Protocol, IntegerFieldsAcceptTheirWholeRange) {
+  // id in [0, 2^53], priority in [-2^30, 2^30]: both ends decode exactly.
+  auto req = decode_request(
+      R"({"id":9007199254740992,"method":"ping","priority":1073741824})");
+  ASSERT_TRUE(req.has_value());
+  EXPECT_EQ(req->id, 9007199254740992u);
+  EXPECT_EQ(req->priority, 1073741824);
+  req = decode_request(R"({"id":0,"method":"ping","priority":-1073741824})");
+  ASSERT_TRUE(req.has_value());
+  EXPECT_EQ(req->id, 0u);
+  EXPECT_EQ(req->priority, -1073741824);
+  // An integral value written with a fraction or exponent is still integral.
+  req = decode_request(R"({"id":7.0,"method":"ping","priority":-3e2})");
+  ASSERT_TRUE(req.has_value());
+  EXPECT_EQ(req->id, 7u);
+  EXPECT_EQ(req->priority, -300);
 
-  Request c = a;
-  c.tenant = "bob";
-  EXPECT_NE(coalesce_key(a), coalesce_key(c));
-  Request d = a;
-  d.params = core::JsonValue::make_object(
-      {{"micros", core::JsonValue::make_number(50.0)}});
-  EXPECT_NE(coalesce_key(a), coalesce_key(d));
-  Request e = a;
-  e.priority = 1;
-  EXPECT_NE(coalesce_key(a), coalesce_key(e));
-  Request f = a;
-  f.deadline_ms = 100.0;
-  EXPECT_NE(coalesce_key(a), coalesce_key(f));
+  auto resp = decode_response(
+      R"({"id":9007199254740992,"status":"ok","attempts":9007199254740992})");
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_EQ(resp->id, 9007199254740992u);
+  EXPECT_EQ(resp->attempts, 9007199254740992u);
+  resp = decode_response(R"({"id":0,"status":"ok","attempts":0})");
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_EQ(resp->attempts, 0u);
+}
+
+TEST(Protocol, IntegerFieldsOutOfRangeAreRejectedNamingTheField) {
+  // An unchecked cast from double would turn 1e300 into id 0 and 3e9 into
+  // INT_MIN (the lowest priority instead of the highest), truncate 0.75,
+  // and let -2^31 overflow once the fair-share bias is added. 2^53 + 2 is
+  // the first id past the bound that a double holds exactly.
+  const auto rejects = [](auto decode, const std::string& frame,
+                          const std::string& field) {
+    std::string error;
+    EXPECT_FALSE(decode(frame, &error).has_value()) << frame;
+    EXPECT_NE(error.find("'" + field + "'"), std::string::npos)
+        << frame << " -> " << error;
+  };
+  rejects(decode_request, R"({"id":1e300,"method":"ping"})", "id");
+  rejects(decode_request, R"({"id":9007199254740994,"method":"ping"})", "id");
+  rejects(decode_request, R"({"id":-1,"method":"ping"})", "id");
+  rejects(decode_request, R"({"id":1.5,"method":"ping"})", "id");
+  rejects(decode_request, R"({"id":"1","method":"ping"})", "id");
+  rejects(decode_request, R"({"id":1,"method":"ping","priority":3e9})",
+          "priority");
+  rejects(decode_request, R"({"id":1,"method":"ping","priority":0.75})",
+          "priority");
+  rejects(decode_request,
+          R"({"id":1,"method":"ping","priority":-2147483648})", "priority");
+  rejects(decode_request, R"({"id":1,"method":"ping","priority":1073741825})",
+          "priority");
+  rejects(decode_request,
+          R"({"id":1,"method":"ping","priority":-1073741825})", "priority");
+
+  rejects(decode_response, R"({"id":1e300,"status":"ok"})", "id");
+  rejects(decode_response, R"({"id":9007199254740994,"status":"ok"})", "id");
+  rejects(decode_response, R"({"id":0.5,"status":"ok"})", "id");
+  rejects(decode_response, R"({"id":1,"status":"ok","attempts":-1})",
+          "attempts");
+  rejects(decode_response, R"({"id":1,"status":"ok","attempts":2.5})",
+          "attempts");
+  rejects(decode_response, R"({"id":1,"status":"ok","attempts":1e300})",
+          "attempts");
 }
 
 // --- framing --------------------------------------------------------------

@@ -1,6 +1,7 @@
 // End-to-end service tests: a real rebootd::Server on an ephemeral port,
-// driven by real sockets — admission control, coalescing, tenancy, teardown
-// accounting, and the connection-level failure modes. Runs under TSan in CI.
+// driven by real sockets — admission control, memoized deduplication,
+// tenancy, teardown accounting, and the connection-level failure modes. Runs
+// under TSan in CI.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,13 +22,11 @@ namespace {
 
 using namespace std::chrono_literals;
 
-net::Request submit_spin(std::uint64_t id, double micros,
-                         bool no_coalesce = true) {
+net::Request submit_spin(std::uint64_t id, double micros) {
   net::Request req;
   req.id = id;
   req.method = "submit";
   req.work = "spin";
-  req.no_coalesce = no_coalesce;
   req.params = core::JsonValue::make_object(
       {{"micros", core::JsonValue::make_number(micros)}});
   return req;
@@ -214,38 +213,70 @@ TEST(Service, ConcurrentClientsAllGetTheirAnswers) {
   EXPECT_EQ(ok.load(), kThreads * kRequests);
 }
 
-TEST(Service, IdenticalBurstsCoalesceIntoOneJob) {
+/// Sends a blocker that pins the server's single worker, then a burst of
+/// identical submits queued behind it, and returns the responses to the
+/// burst. Every burst member must get its own ok frame, none marked
+/// coalesced: rebootd dedups only through the scheduler's memo path. The
+/// blocker's 200 ms is the margin within which the reader must hand the
+/// whole burst to the scheduler.
+std::vector<net::Response> identical_burst_behind_a_blocker(
+    const Server& server, rebootctl::Client& client, int burst, bool memo) {
+  EXPECT_TRUE(client.send(submit_spin(1, 200'000.0)));
+  EXPECT_TRUE(wait_for_status(server, [](const core::JsonValue& body) {
+    return pool_stat(body, "in_flight") == 1.0;
+  }));
+  for (int i = 0; i < burst; ++i) {
+    net::Request req = submit_spin(2 + static_cast<std::uint64_t>(i), 1000.0);
+    req.memo = memo;
+    EXPECT_TRUE(client.send(req));
+  }
+  std::vector<net::Response> responses;
+  for (int i = 0; i < 1 + burst; ++i) {
+    auto resp = client.recv();
+    if (!resp) break;
+    EXPECT_EQ(resp->status, net::Status::kOk) << "id " << resp->id;
+    EXPECT_FALSE(resp->coalesced) << "id " << resp->id;
+    if (resp->id != 1) responses.push_back(std::move(*resp));
+  }
+  return responses;
+}
+
+TEST(Service, IdenticalMemoBurstRidesOneSchedulerJob) {
   ServerConfig config;
   config.cpu_workers = 1;
-  config.coalesce_window_ms = 500.0;
   Server server(config);
   ASSERT_TRUE(server.start());
   rebootctl::Client client = connect_client(server);
 
-  // A blocker pins the single worker, so the identical burst behind it is
-  // all queued inside one coalescing window.
-  ASSERT_TRUE(client.send(submit_spin(1, 50'000.0)));
-  ASSERT_TRUE(wait_for_status(server, [](const core::JsonValue& body) {
-    return pool_stat(body, "in_flight") == 1.0;
+  constexpr int kBurst = 4;
+  const auto responses =
+      identical_burst_behind_a_blocker(server, client, kBurst, /*memo=*/true);
+  EXPECT_EQ(responses.size(), static_cast<std::size_t>(kBurst));
+
+  // The burst leader queued behind the blocker and every other member rode
+  // its in-flight memo flight: two scheduler jobs, kBurst - 1 riders.
+  EXPECT_TRUE(wait_for_status(server, [](const core::JsonValue& body) {
+    return body.at("submitted").number() == 2.0 &&
+           body.at("sched").at("memo_riders").number() == kBurst - 1;
   }));
+}
+
+TEST(Service, IdenticalBurstWithoutMemoRunsEveryJob) {
+  ServerConfig config;
+  config.cpu_workers = 1;
+  Server server(config);
+  ASSERT_TRUE(server.start());
+  rebootctl::Client client = connect_client(server);
 
   constexpr int kBurst = 4;
-  for (std::uint64_t id = 2; id < 2 + kBurst; ++id)
-    ASSERT_TRUE(client.send(submit_spin(id, 1000.0, /*no_coalesce=*/false)));
+  const auto responses =
+      identical_burst_behind_a_blocker(server, client, kBurst, /*memo=*/false);
+  EXPECT_EQ(responses.size(), static_cast<std::size_t>(kBurst));
 
-  int ok = 0, coalesced = 0;
-  for (int i = 0; i < 1 + kBurst; ++i) {
-    const auto resp = client.recv();
-    ASSERT_TRUE(resp.has_value());
-    if (resp->status == net::Status::kOk) ++ok;
-    if (resp->coalesced) ++coalesced;
-  }
-  EXPECT_EQ(ok, 1 + kBurst);
-  EXPECT_EQ(coalesced, kBurst - 1);  // every burst member but the leader
-
-  // The scheduler saw two jobs: the blocker and the burst leader.
+  // Without memo nothing is shared: the blocker plus every burst member.
   EXPECT_TRUE(wait_for_status(server, [](const core::JsonValue& body) {
-    return body.at("submitted").number() == 2.0;
+    return body.at("submitted").number() == 1.0 + kBurst &&
+           body.at("sched").at("memo_riders").number() == 0.0;
   }));
 }
 
@@ -278,7 +309,6 @@ TEST(Service, QueueHighWaterRejectsAsOverloaded) {
   ServerConfig config;
   config.cpu_workers = 1;
   config.admission_high_water = 1;
-  config.coalesce_window_ms = 0.0;
   Server server(config);
   ASSERT_TRUE(server.start());
   rebootctl::Client client = connect_client(server);
@@ -309,7 +339,6 @@ TEST(Service, QueueHighWaterRejectsAsOverloaded) {
 TEST(Service, StopAnswersEveryAcceptedRequest) {
   ServerConfig config;
   config.cpu_workers = 1;
-  config.coalesce_window_ms = 0.0;
   Server server(config);
   ASSERT_TRUE(server.start());
   rebootctl::Client client = connect_client(server);

@@ -21,120 +21,6 @@ class FakeAccelerator final : public Accelerator {
   AcceleratorKind kind_;
 };
 
-TEST(HostSystem, RegisterAndDispatch) {
-  HostSystem host;
-  host.register_accelerator(
-      std::make_shared<FakeAccelerator>(AcceleratorKind::kQuantum));
-  EXPECT_TRUE(host.has(AcceleratorKind::kQuantum));
-  EXPECT_FALSE(host.has(AcceleratorKind::kOscillator));
-
-  Job job;
-  job.name = "probe";
-  job.kind = AcceleratorKind::kQuantum;
-  job.payload = [] {
-    JobResult r;
-    r.ok = true;
-    r.summary = "done";
-    r.metrics["answer"] = 42.0;
-    return r;
-  };
-  const JobResult res = host.submit(job);
-  EXPECT_TRUE(res.ok);
-  EXPECT_EQ(res.summary, "done");
-  EXPECT_GE(res.wall_seconds, 0.0);
-  ASSERT_EQ(host.log().size(), 1u);
-  EXPECT_EQ(host.log()[0].job_name, "probe");
-  EXPECT_EQ(host.accelerator(AcceleratorKind::kQuantum).jobs_completed(), 1u);
-}
-
-TEST(HostSystem, DuplicateKindRejected) {
-  HostSystem host;
-  host.register_accelerator(
-      std::make_shared<FakeAccelerator>(AcceleratorKind::kMemcomputing));
-  EXPECT_THROW(host.register_accelerator(std::make_shared<FakeAccelerator>(
-                   AcceleratorKind::kMemcomputing)),
-               std::invalid_argument);
-}
-
-TEST(HostSystem, DuplicateKindErrorNamesKindAndExistingAccelerator) {
-  HostSystem host;
-  host.register_accelerator(
-      std::make_shared<FakeAccelerator>(AcceleratorKind::kMemcomputing));
-  try {
-    host.register_accelerator(
-        std::make_shared<FakeAccelerator>(AcceleratorKind::kMemcomputing));
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("memcomputing"), std::string::npos) << what;
-    EXPECT_NE(what.find("fake-memcomputing"), std::string::npos) << what;
-  }
-}
-
-TEST(HostSystem, MissingAcceleratorThrows) {
-  HostSystem host;
-  Job job;
-  job.kind = AcceleratorKind::kOscillator;
-  job.payload = [] { return JobResult{}; };
-  EXPECT_THROW(host.submit(job), std::out_of_range);
-}
-
-TEST(HostSystem, NullPayloadThrows) {
-  HostSystem host;
-  host.register_accelerator(
-      std::make_shared<FakeAccelerator>(AcceleratorKind::kClassicalCpu));
-  Job job;
-  job.kind = AcceleratorKind::kClassicalCpu;
-  EXPECT_THROW(host.submit(job), std::invalid_argument);
-}
-
-TEST(HostSystem, TotalMetricSumsAcrossJobs) {
-  HostSystem host;
-  host.register_accelerator(
-      std::make_shared<FakeAccelerator>(AcceleratorKind::kClassicalCpu));
-  for (int i = 1; i <= 3; ++i) {
-    Job job;
-    job.name = "j" + std::to_string(i);
-    job.kind = AcceleratorKind::kClassicalCpu;
-    job.payload = [i] {
-      JobResult r;
-      r.ok = true;
-      r.metrics["cost"] = static_cast<Real>(i);
-      return r;
-    };
-    host.submit(job);
-  }
-  EXPECT_DOUBLE_EQ(host.total_metric("cost"), 6.0);
-  EXPECT_DOUBLE_EQ(host.total_metric("missing"), 0.0);
-}
-
-TEST(HostSystem, DescribeListsLayers) {
-  HostSystem host;
-  host.register_accelerator(
-      std::make_shared<FakeAccelerator>(AcceleratorKind::kQuantum));
-  const std::string desc = host.describe();
-  EXPECT_NE(desc.find("fake-quantum"), std::string::npos);
-  EXPECT_NE(desc.find("compiler"), std::string::npos);
-}
-
-TEST(HostSystem, FailedJobRecordedNotThrown) {
-  HostSystem host;
-  host.register_accelerator(
-      std::make_shared<FakeAccelerator>(AcceleratorKind::kClassicalCpu));
-  Job job;
-  job.name = "failing";
-  job.kind = AcceleratorKind::kClassicalCpu;
-  job.payload = [] {
-    JobResult r;
-    r.ok = false;
-    r.summary = "device refused";
-    return r;
-  };
-  const JobResult res = host.submit(job);
-  EXPECT_FALSE(res.ok);
-  EXPECT_EQ(host.log().back().result.summary, "device refused");
-}
-
 TEST(Accelerator, UtilizationCountersAreThreadSafe) {
   FakeAccelerator accel(AcceleratorKind::kClassicalCpu);
   constexpr int kThreads = 8;

@@ -3,9 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <utility>
 #include <vector>
-
-#include "core/ode.h"
 
 namespace rebooting::core {
 namespace {
@@ -106,25 +106,6 @@ TEST(IntegrateFixed, TimeGridIsDriftFree) {
   EXPECT_EQ(k, 10000u);
 }
 
-TEST(IntegrateFixed, KernelMatchesLegacyFunctionPathBitwise) {
-  // The std::function API must be a pure adapter: same arithmetic, same
-  // result to the last bit.
-  DecayKernel f{0.7};
-  Workspace ws;
-  std::vector<Real> y_kernel{1.0, 2.0, -0.5};
-  integrate_fixed(f, Scheme::kRk4, 0.0, 3.0, 1e-3, std::span<Real>(y_kernel),
-                  ws);
-
-  const OdeRhs rhs = [](Real, std::span<const Real> y, std::span<Real> dydt) {
-    for (std::size_t i = 0; i < y.size(); ++i) dydt[i] = -0.7 * y[i];
-  };
-  std::vector<Real> y_fn{1.0, 2.0, -0.5};
-  integrate_fixed(rhs, Scheme::kRk4, 0.0, 3.0, 1e-3, y_fn);
-
-  for (std::size_t i = 0; i < y_fn.size(); ++i)
-    EXPECT_EQ(y_kernel[i], y_fn[i]);
-}
-
 TEST(IntegrateFixed, SchemesConvergeAtTheirOrder) {
   const auto error_at = [](Scheme scheme, Real dt) {
     DecayKernel f;
@@ -145,6 +126,69 @@ TEST(IntegrateFixed, SchemesConvergeAtTheirOrder) {
   EXPECT_NEAR(rk4, 16.0, 1.6);
 }
 
+TEST(FixedStep, EulerDecaysApproximately) {
+  DecayKernel f;
+  Workspace ws;
+  std::vector<Real> y{1.0};
+  integrate_fixed(f, Scheme::kEuler, 0.0, 1.0, 1e-4, std::span<Real>(y), ws);
+  EXPECT_NEAR(y[0], std::exp(-1.0), 1e-3);
+}
+
+TEST(FixedStep, Rk4IsMuchMoreAccurateThanEuler) {
+  DecayKernel f;
+  Workspace ws;
+  std::vector<Real> ye{1.0};
+  std::vector<Real> yr{1.0};
+  integrate_fixed(f, Scheme::kEuler, 0.0, 2.0, 0.01, std::span<Real>(ye), ws);
+  integrate_fixed(f, Scheme::kRk4, 0.0, 2.0, 0.01, std::span<Real>(yr), ws);
+  const Real exact = std::exp(-2.0);
+  EXPECT_LT(std::abs(yr[0] - exact), std::abs(ye[0] - exact) / 100.0);
+}
+
+/// Convergence-order property: halving dt should reduce the error by ~2^p.
+class ConvergenceOrder
+    : public ::testing::TestWithParam<std::pair<Scheme, Real>> {};
+
+TEST_P(ConvergenceOrder, MatchesTheory) {
+  const auto [scheme, expected_order] = GetParam();
+  const Real exact = std::exp(-1.0);
+  auto error_at = [&](Real dt) {
+    DecayKernel f;
+    Workspace ws;
+    std::vector<Real> y{1.0};
+    integrate_fixed(f, scheme, 0.0, 1.0, dt, std::span<Real>(y), ws);
+    return std::abs(y[0] - exact);
+  };
+  const Real observed_order = std::log2(error_at(0.01) / error_at(0.005));
+  EXPECT_NEAR(observed_order, expected_order, 0.35);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, ConvergenceOrder,
+    ::testing::Values(std::pair{Scheme::kEuler, 1.0},
+                      std::pair{Scheme::kHeun, 2.0},
+                      std::pair{Scheme::kRk4, 4.0}));
+
+TEST(FixedStep, ObserverStopsEarly) {
+  DecayKernel f;
+  Workspace ws;
+  std::vector<Real> y{1.0};
+  const Real t_stop = integrate_fixed(
+      f, Scheme::kRk4, 0.0, 10.0, 0.01, std::span<Real>(y), ws,
+      [](Real, std::span<const Real> s) { return s[0] > 0.5; });
+  EXPECT_LT(t_stop, 1.0);
+  EXPECT_NEAR(y[0], 0.5, 0.01);
+}
+
+TEST(FixedStep, RejectsNonPositiveDt) {
+  DecayKernel f;
+  Workspace ws;
+  std::vector<Real> y{1.0};
+  EXPECT_THROW(integrate_fixed(f, Scheme::kEuler, 0.0, 1.0, -0.1,
+                               std::span<Real>(y), ws),
+               std::invalid_argument);
+}
+
 TEST(IntegrateFixed, ObserverStopsEarly) {
   DecayKernel f;
   Workspace ws;
@@ -155,6 +199,17 @@ TEST(IntegrateFixed, ObserverStopsEarly) {
                         return t < 2.0;  // stop at the first t >= 2
                       });
   EXPECT_EQ(t_final, 2.0);
+}
+
+TEST(FixedStep, FinalStepLandsExactlyOnT1) {
+  // 0.95 is not a multiple of dt: the last step is shortened, not skipped.
+  DecayKernel f;
+  Workspace ws;
+  std::vector<Real> y{1.0};
+  const Real t_final = integrate_fixed(f, Scheme::kRk4, 0.0, 0.95, 0.1,
+                                       std::span<Real>(y), ws);
+  EXPECT_DOUBLE_EQ(t_final, 0.95);
+  EXPECT_NEAR(y[0], std::exp(-0.95), 1e-6);
 }
 
 TEST(IntegrateFixed, RejectsNonPositiveDt) {
@@ -172,6 +227,15 @@ TEST(Steps, RejectUndersizedScratch) {
   std::vector<Real> scratch(2 * y.size());  // heun needs 3x
   EXPECT_THROW(
       heun_step(f, 0.0, 0.1, std::span<Real>(y), std::span<Real>(scratch)),
+      std::invalid_argument);
+}
+
+TEST(Steps, ScratchTooSmallThrows) {
+  DecayKernel f;
+  std::vector<Real> y{1.0};
+  std::vector<Real> scratch(2);  // rk4 needs 5n
+  EXPECT_THROW(
+      rk4_step(f, 0.0, 0.1, std::span<Real>(y), std::span<Real>(scratch)),
       std::invalid_argument);
 }
 
@@ -207,6 +271,76 @@ TEST(IntegrateAdaptive, ConservesHarmonicEnergy) {
   opts.rel_tol = 1e-9;
   integrate_adaptive(f, 0.0, 20.0, std::span<Real>(y), opts, ws);
   EXPECT_NEAR(y[0] * y[0] + y[1] * y[1], 1.0, 1e-5);
+}
+
+TEST(Adaptive, DecayAccurateToTolerance) {
+  DecayKernel f;
+  Workspace ws;
+  std::vector<Real> y{1.0};
+  AdaptiveOptions opts;
+  opts.abs_tol = 1e-10;
+  opts.rel_tol = 1e-10;
+  const AdaptiveResult res =
+      integrate_adaptive(f, 0.0, 3.0, std::span<Real>(y), opts, ws);
+  EXPECT_NEAR(y[0], std::exp(-3.0), 1e-7);
+  EXPECT_DOUBLE_EQ(res.t_final, 3.0);
+  EXPECT_GT(res.accepted_steps, 0u);
+}
+
+TEST(Adaptive, HarmonicOscillatorConservesAmplitude) {
+  // One full period returns (cos t, -sin t) to its start, component-wise.
+  HarmonicKernel f;
+  Workspace ws;
+  std::vector<Real> y{1.0, 0.0};
+  AdaptiveOptions opts;
+  opts.rel_tol = 1e-9;
+  opts.abs_tol = 1e-9;
+  integrate_adaptive(f, 0.0, 2.0 * kPi, std::span<Real>(y), opts, ws);
+  EXPECT_NEAR(y[0], 1.0, 1e-6);
+  EXPECT_NEAR(y[1], 0.0, 1e-6);
+}
+
+TEST(Adaptive, ObserverStops) {
+  DecayKernel f;
+  Workspace ws;
+  std::vector<Real> y{1.0};
+  const AdaptiveResult res = integrate_adaptive(
+      f, 0.0, 100.0, std::span<Real>(y), AdaptiveOptions{}, ws,
+      [](Real, std::span<const Real> s) { return s[0] > 0.1; });
+  EXPECT_TRUE(res.stopped_by_observer);
+  EXPECT_LT(res.t_final, 100.0);
+}
+
+TEST(Adaptive, StepsAdaptToStiffness) {
+  // A rate that jumps from slow to fast at t = 5: the controller must take
+  // long steps through the slow phase, far fewer than fixed stepping at the
+  // fast phase's dt would.
+  struct SwitchingDecayKernel {
+    void rhs(Real t, std::span<const Real> y, std::span<Real> dydt) const {
+      dydt[0] = (t < 5.0 ? -0.01 : -50.0) * y[0];
+    }
+  };
+  SwitchingDecayKernel f;
+  Workspace ws;
+  std::vector<Real> y{1.0};
+  AdaptiveOptions opts;
+  opts.max_dt = 1.0;
+  const AdaptiveResult res =
+      integrate_adaptive(f, 0.0, 6.0, std::span<Real>(y), opts, ws);
+  EXPECT_LT(res.accepted_steps, 2000u);
+  EXPECT_GE(y[0], -1e-6);
+}
+
+TEST(Adaptive, StepLimitReported) {
+  HarmonicKernel f;
+  Workspace ws;
+  std::vector<Real> y{1.0, 0.0};
+  AdaptiveOptions opts;
+  opts.max_steps = 5;
+  const AdaptiveResult res =
+      integrate_adaptive(f, 0.0, 1000.0, std::span<Real>(y), opts, ws);
+  EXPECT_TRUE(res.hit_step_limit);
+  EXPECT_LT(res.t_final, 1000.0);
 }
 
 TEST(IntegrateAdaptive, ObserverStopFlagged) {

@@ -1,5 +1,5 @@
-// Cross-module integration tests: the Fig. 1 heterogeneous host dispatching
-// real jobs to all three paradigm engines, and end-to-end flows that cross
+// Cross-module integration tests: the Fig. 1 heterogeneous host (the
+// scheduler) dispatching real jobs to all three paradigm engines, and end-to-end flows that cross
 // module boundaries (vision -> oscillator, Ising -> CNF -> DMM, circuit ->
 // QISA -> compiler -> device).
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include "quantum/algorithms.h"
 #include "quantum/qisa.h"
 #include "quantum/runtime.h"
+#include "scheduler/scheduler.h"
 #include "vision/oscillator_fast.h"
 #include "vision/power.h"
 
@@ -23,8 +24,6 @@ namespace rebooting {
 namespace {
 
 using core::AcceleratorKind;
-using core::HostSystem;
-using core::Job;
 using core::JobResult;
 
 oscillator::ComparatorConfig small_comparator_config() {
@@ -37,67 +36,75 @@ oscillator::ComparatorConfig small_comparator_config() {
 }
 
 TEST(Integration, HeterogeneousHostRunsAllThreeParadigms) {
-  HostSystem host;
-  auto quantum = std::make_shared<quantum::QuantumAccelerator>(
-      quantum::QuantumDeviceConfig{.topology = quantum::Topology::line(4)});
-  auto osc = std::make_shared<oscillator::OscillatorAccelerator>(
-      small_comparator_config());
-  auto mem = std::make_shared<memcomputing::MemcomputingAccelerator>();
-  host.register_accelerator(quantum);
-  host.register_accelerator(osc);
-  host.register_accelerator(mem);
+  // The Fig. 1 host: one single-worker pool per paradigm. Each job is
+  // submitted and awaited in turn, so the shared rng is drawn in a fixed
+  // order.
+  sched::Scheduler host;
+  host.add_pool(AcceleratorKind::kQuantum, 1,
+                quantum::QuantumAccelerator::factory(
+                    {.topology = quantum::Topology::line(4)}));
+  host.add_pool(AcceleratorKind::kOscillator, 1,
+                oscillator::OscillatorAccelerator::factory(
+                    small_comparator_config()));
+  host.add_pool(AcceleratorKind::kMemcomputing, 1,
+                memcomputing::MemcomputingAccelerator::factory());
 
   core::Rng rng(42);
 
   // Quantum job: Bell pair through the full stack.
-  Job qjob;
-  qjob.name = "bell-pair";
-  qjob.kind = AcceleratorKind::kQuantum;
-  qjob.payload = [&] {
-    quantum::Circuit bell(4);
-    bell.h(0).cx(0, 3);
-    const auto res = quantum->run(bell, 500, rng);
-    JobResult jr;
-    jr.ok = true;
-    jr.metrics["swaps"] = static_cast<core::Real>(res.compile_report.swaps_inserted);
-    jr.metrics["correlated"] =
-        res.frequency(0b0000) + res.frequency(0b1001);
-    return jr;
-  };
-  const JobResult qres = host.submit(qjob);
+  const JobResult qres =
+      host.submit("bell-pair", AcceleratorKind::kQuantum,
+                  [&](core::Accelerator& a) {
+                    auto& quantum = static_cast<quantum::QuantumAccelerator&>(a);
+                    quantum::Circuit bell(4);
+                    bell.h(0).cx(0, 3);
+                    const auto res = quantum.run(bell, 500, rng);
+                    JobResult jr;
+                    jr.ok = true;
+                    jr.metrics["swaps"] = static_cast<core::Real>(
+                        res.compile_report.swaps_inserted);
+                    jr.metrics["correlated"] =
+                        res.frequency(0b0000) + res.frequency(0b1001);
+                    return jr;
+                  })
+          .get();
   EXPECT_TRUE(qres.ok);
   EXPECT_NEAR(qres.metrics.at("correlated"), 1.0, 1e-9);
 
   // Oscillator job: one analog comparison.
-  Job ojob;
-  ojob.name = "pixel-compare";
-  ojob.kind = AcceleratorKind::kOscillator;
-  ojob.payload = [&] {
-    JobResult jr;
-    jr.ok = true;
-    jr.metrics["d_far"] = osc->comparator().distance(0.1, 0.9);
-    jr.metrics["d_eq"] = osc->comparator().distance(0.4, 0.4);
-    return jr;
-  };
-  const JobResult ores = host.submit(ojob);
+  const JobResult ores =
+      host.submit("pixel-compare", AcceleratorKind::kOscillator,
+                  [](core::Accelerator& a) {
+                    const auto& comparator =
+                        static_cast<oscillator::OscillatorAccelerator&>(a)
+                            .comparator();
+                    JobResult jr;
+                    jr.ok = true;
+                    jr.metrics["d_far"] = comparator.distance(0.1, 0.9);
+                    jr.metrics["d_eq"] = comparator.distance(0.4, 0.4);
+                    return jr;
+                  })
+          .get();
   EXPECT_GT(ores.metrics.at("d_far"), ores.metrics.at("d_eq"));
 
   // Memcomputing job: solve a planted 3-SAT instance.
-  Job mjob;
-  mjob.name = "planted-3sat";
-  mjob.kind = AcceleratorKind::kMemcomputing;
-  mjob.payload = [&] {
-    const auto inst = memcomputing::planted_ksat(rng, 40, 170, 3);
-    const auto r = memcomputing::DmmSolver(inst.cnf, {}).solve(rng);
-    JobResult jr;
-    jr.ok = r.satisfied;
-    jr.metrics["steps"] = static_cast<core::Real>(r.steps);
-    return jr;
-  };
-  EXPECT_TRUE(host.submit(mjob).ok);
+  const JobResult mres =
+      host.submit("planted-3sat", AcceleratorKind::kMemcomputing,
+                  [&](core::Accelerator&) {
+                    const auto inst =
+                        memcomputing::planted_ksat(rng, 40, 170, 3);
+                    const auto r =
+                        memcomputing::DmmSolver(inst.cnf, {}).solve(rng);
+                    JobResult jr;
+                    jr.ok = r.satisfied;
+                    jr.metrics["steps"] = static_cast<core::Real>(r.steps);
+                    return jr;
+                  })
+          .get();
+  EXPECT_TRUE(mres.ok);
 
-  EXPECT_EQ(host.log().size(), 3u);
-  EXPECT_EQ(host.accelerator(AcceleratorKind::kQuantum).jobs_completed(), 1u);
+  EXPECT_EQ(host.stats().submitted, 3u);
+  EXPECT_EQ(host.stats(AcceleratorKind::kQuantum).jobs_completed, 1u);
   const std::string desc = host.describe();
   EXPECT_NE(desc.find("Quantum accelerator"), std::string::npos);
   EXPECT_NE(desc.find("oscillator"), std::string::npos);

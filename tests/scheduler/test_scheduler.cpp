@@ -424,6 +424,26 @@ TEST(SchedulerPools, ArgumentValidation) {
       std::invalid_argument);
 }
 
+TEST(SchedulerPools, DescribeListsLayers) {
+  Scheduler scheduler;
+  scheduler.add_pool(AcceleratorKind::kClassicalCpu, 2,
+                     core::CpuAccelerator::factory());
+  EXPECT_TRUE(scheduler.submit(cpu_job("probe", [] { return ok_result(); }))
+                  .get()
+                  .ok);
+  const std::string desc = scheduler.describe();
+  EXPECT_NE(desc.find("[classical-cpu] 2 x Classical CPU (host)"),
+            std::string::npos)
+      << desc;
+  EXPECT_NE(desc.find("1 job(s)"), std::string::npos) << desc;
+  // The kind's Fig. 2 stack, numbered from the application down to L1.
+  const auto top = desc.find("L3: Application (host code)");
+  const auto bottom = desc.find("L1: von Neumann CPU");
+  ASSERT_NE(top, std::string::npos) << desc;
+  ASSERT_NE(bottom, std::string::npos) << desc;
+  EXPECT_LT(top, bottom);
+}
+
 TEST(SchedulerPools, PayloadExceptionPropagatesThroughFuture) {
   Scheduler scheduler;
   scheduler.add_pool(AcceleratorKind::kClassicalCpu, 1,

@@ -10,6 +10,7 @@
 
 #include "core/accelerator.h"
 #include "core/table.h"
+#include "scheduler/scheduler.h"
 
 namespace rebooting::telemetry {
 namespace {
@@ -307,70 +308,36 @@ TEST_F(TelemetryTest, ThreadsBuildIndependentBranches) {
                    static_cast<Real>(kThreads * kIters));
 }
 
-TEST_F(TelemetryTest, HostSystemMergesJobMetrics) {
-  class FakeAccelerator final : public core::Accelerator {
-   public:
-    std::string name() const override { return "fake"; }
-    core::AcceleratorKind kind() const override {
-      return core::AcceleratorKind::kClassicalCpu;
+TEST_F(TelemetryTest, SchedulerMergesJobMetrics) {
+  {
+    sched::Scheduler scheduler;
+    scheduler.add_pool(core::AcceleratorKind::kClassicalCpu, 1,
+                       core::CpuAccelerator::factory());
+    for (int i = 1; i <= 2; ++i) {
+      core::Job job;
+      job.name = "job-" + std::to_string(i);
+      job.kind = core::AcceleratorKind::kClassicalCpu;
+      job.payload = [i] {
+        core::JobResult r;
+        r.ok = true;
+        r.metrics["compile.gates"] = 10.0 * i;
+        TELEM_SPAN("engine.inner");
+        return r;
+      };
+      EXPECT_TRUE(scheduler.submit(std::move(job)).get().ok);
     }
-    std::vector<std::string> stack_layers() const override { return {"app"}; }
-  };
-
-  core::HostSystem host;
-  host.register_accelerator(std::make_shared<FakeAccelerator>());
-  for (int i = 1; i <= 2; ++i) {
-    core::Job job;
-    job.name = "job-" + std::to_string(i);
-    job.kind = core::AcceleratorKind::kClassicalCpu;
-    job.payload = [i] {
-      core::JobResult r;
-      r.ok = true;
-      r.metrics["compile.gates"] = 10.0 * i;
-      TELEM_SPAN("engine.inner");
-      return r;
-    };
-    host.submit(job);
-  }
+  }  // joins the worker: the span tree is quiescent from here on
 
   auto& telem = Telemetry::instance();
-  // Job metrics merged as counters (summed across jobs, same as
-  // HostSystem::total_metric).
+  // Job metrics merged as counters, summed across jobs.
   EXPECT_DOUBLE_EQ(telem.metrics().counter("compile.gates"), 30.0);
-  EXPECT_DOUBLE_EQ(telem.metrics().counter("host.jobs"), 2.0);
-  EXPECT_EQ(telem.metrics().histogram("host.job_wall_seconds").count, 2u);
+  EXPECT_DOUBLE_EQ(telem.metrics().counter("sched.jobs"), 2.0);
 
-  // The payload's span nests under the per-job root span.
-  const SpanNode* root_span =
-      telem.root().find("host.classical-cpu");
-  ASSERT_NE(root_span, nullptr);
-  EXPECT_EQ(root_span->stats().count, 2u);
-  EXPECT_NE(root_span->find("engine.inner"), nullptr);
-
-  // describe() carries the telemetry rollup while enabled.
-  EXPECT_NE(host.describe().find("Telemetry rollup"), std::string::npos);
-  Telemetry::set_enabled(false);
-  EXPECT_EQ(host.describe().find("Telemetry rollup"), std::string::npos);
-}
-
-TEST_F(TelemetryTest, HostSystemCountsFailedJobs) {
-  class FakeAccelerator final : public core::Accelerator {
-   public:
-    std::string name() const override { return "fake"; }
-    core::AcceleratorKind kind() const override {
-      return core::AcceleratorKind::kClassicalCpu;
-    }
-    std::vector<std::string> stack_layers() const override { return {"app"}; }
-  };
-  core::HostSystem host;
-  host.register_accelerator(std::make_shared<FakeAccelerator>());
-  core::Job job;
-  job.name = "failing";
-  job.kind = core::AcceleratorKind::kClassicalCpu;
-  job.payload = [] { return core::JobResult{}; };
-  host.submit(job);
-  EXPECT_DOUBLE_EQ(Telemetry::instance().metrics().counter("host.jobs_failed"),
-                   1.0);
+  // The payload's span nests under the scheduler's per-kind span.
+  const SpanNode* kind_span = telem.root().find("sched.classical-cpu");
+  ASSERT_NE(kind_span, nullptr);
+  EXPECT_EQ(kind_span->stats().count, 2u);
+  EXPECT_NE(kind_span->find("engine.inner"), nullptr);
 }
 
 TEST_F(TelemetryTest, TableToJsonRows) {
