@@ -59,8 +59,8 @@ struct RetryPolicy {
   /// Symmetric jitter fraction in [0, 1]: the backoff is scaled by a factor
   /// in [1 - jitter, 1 + jitter]. 0 = no jitter.
   core::Real jitter = 0.0;
-  /// Total time the job may spend sleeping between attempts; once a backoff
-  /// would exceed it, the job fails instead of retrying further.
+  /// Total backoff the job may wait out between attempts; once the next
+  /// backoff would exceed it, the job fails instead of retrying further.
   Clock::duration retry_budget = Clock::duration::max();
   /// Permit failover to the classical-cpu pool. Only safe for payloads that
   /// ignore their accelerator argument (self-contained core::Job closures);
@@ -73,10 +73,10 @@ struct JobOptions {
   /// Higher runs earlier; jobs of equal priority run in submission (FIFO)
   /// order within their kind's queue.
   int priority = 0;
-  /// A job still queued past its deadline is not executed: it completes with
-  /// ok=false and counts into the `sched.deadline_missed` metric. The retry
-  /// layer also honors it between attempts: a backoff that would cross the
-  /// deadline is not slept through.
+  /// A job dequeued past its deadline is not executed: it completes with
+  /// ok=false and counts into the `sched.deadline_missed` metric. Every
+  /// retry is a dequeue, so this holds between attempts too, and a retry
+  /// whose backoff would cross the deadline fails at once instead.
   std::optional<Clock::time_point> deadline;
   /// Cooperative cancellation; see CancelToken.
   std::optional<CancelToken> cancel;
@@ -149,7 +149,7 @@ class YieldProbe {
 
 /// A payload executed in scheduler time slices. Returning a JobResult
 /// completes the job; returning std::nullopt means "yielded at a checkpoint":
-/// the scheduler re-enqueues the remainder (same submission seq, so it
+/// the scheduler requeues the remainder (same submission seq, so it
 /// resumes at the front of its priority class) and calls the payload again
 /// later — possibly on a different worker. The payload object itself carries
 /// the resumable state across calls (e.g. a mutable lambda capturing a
@@ -158,30 +158,39 @@ using PreemptiblePayload = std::function<std::optional<core::JobResult>(
     core::Accelerator&, const YieldProbe&)>;
 
 /// One queue entry: the job, its controls, the promise the submitter's
-/// future is attached to, and the bookkeeping the scheduler needs for
-/// ordering (seq) and wait-time accounting (enqueued_at).
+/// future is attached to, and everything the scheduler carries from one
+/// dequeue of the job to the next. A job leaves its worker after one attempt
+/// or one slice: it either settles or is requeued (a retry, a failover hop
+/// or a yield), so this entry is the job's whole state between attempts.
 struct QueuedJob {
   std::string name;
   core::AcceleratorKind kind = core::AcceleratorKind::kClassicalCpu;
   DevicePayload payload;
   /// Set instead of `payload` for slice-based jobs (submit_preemptible). The
-  /// same object is re-enqueued across yields, so it owns the job's
-  /// checkpoint state between slices.
+  /// same object is requeued across yields, so it owns the job's checkpoint
+  /// state between slices.
   PreemptiblePayload preemptible;
   JobOptions opts;
   std::promise<core::JobResult> promise;
   std::uint64_t seq = 0;  ///< scheduler-global submission order, unique
-  Clock::time_point enqueued_at{};
-  // --- resilience bookkeeping carried across a failover hop ---------------
-  std::uint64_t attempts_done = 0;  ///< attempts consumed before this queuing
+  Clock::time_point submitted_at{};  ///< start of sched.latency_seconds
+  /// The entry is not dequeued before this instant (a retry's backoff); it
+  /// also starts the entry's sched.wait_seconds stint.
+  Clock::time_point ready_at{};
+  // --- attempt bookkeeping, carried across requeues -----------------------
+  std::uint64_t attempts = 0;  ///< execution attempts consumed so far
   std::vector<std::string> fault_log;
+  Clock::duration backoff_spent{0};  ///< summed backoff, against retry_budget
+  core::Real service_seconds = 0.0;  ///< summed payload run time
+  /// The most recent ok=false result the payload itself produced; a job that
+  /// gives up returns it verbatim, annotated with the attempt bookkeeping.
+  std::optional<core::JobResult> last_failure;
   bool failed_over = false;  ///< already re-homed once; never hops again
-  // --- preemption bookkeeping ---------------------------------------------
-  bool resumed = false;  ///< re-enqueued after at least one yielded slice
+  bool resumed = false;  ///< requeued after at least one yielded slice
   // --- memoization bookkeeping --------------------------------------------
   /// Set when this job leads a single-flight group; travels with the job
-  /// across failover hops and preemption re-enqueues, and is settled exactly
-  /// once, by whichever code path fulfills the leader's promise.
+  /// across requeues, and is settled exactly once, by whichever code path
+  /// fulfills the leader's promise.
   std::shared_ptr<MemoFlight> memo_flight;
 };
 

@@ -49,43 +49,47 @@ BoundedJobQueue::PushStatus BoundedJobQueue::push(
   return PushStatus::kAccepted;
 }
 
-std::optional<QueuedJob> BoundedJobQueue::pop() {
+std::optional<QueuedJob> BoundedJobQueue::pop(
+    std::optional<Clock::time_point> deadline) {
   std::unique_lock lock(mutex_);
-  not_empty_.wait(lock, [&] { return !items_.empty() || closed_; });
-  if (closed_) return std::nullopt;  // leftovers are for flush()
-  auto node = items_.extract(items_.begin());
-  ++in_flight_;  // under the same lock as the removal, so wait_idle never
-                 // observes "empty and idle" between pop and execution
-  not_full_.notify_one();
-  return std::move(node.value());
+  for (;;) {
+    if (closed_) return std::nullopt;  // leftovers are for flush()
+    const auto now = Clock::now();
+    // The first ready entry in priority order; failing that, sleep until the
+    // earliest not-yet-ready one (or the deadline) unless a push wakes us.
+    auto wake = deadline.value_or(Clock::time_point::max());
+    for (auto it = items_.begin(); it != items_.end(); ++it) {
+      if (it->ready_at <= now) {
+        auto node = items_.extract(it);
+        ++in_flight_;
+        not_full_.notify_one();
+        return std::move(node.value());
+      }
+      wake = std::min(wake, it->ready_at);
+    }
+    if (deadline && now >= *deadline) return std::nullopt;
+    if (wake == Clock::time_point::max())
+      not_empty_.wait(lock);
+    else
+      not_empty_.wait_until(lock, wake);
+  }
 }
 
-std::optional<QueuedJob> BoundedJobQueue::pop_for(Clock::duration timeout) {
-  std::unique_lock lock(mutex_);
-  if (!not_empty_.wait_for(lock, timeout,
-                           [&] { return !items_.empty() || closed_; }))
-    return std::nullopt;  // timed out; caller may go stealing
-  if (closed_) return std::nullopt;  // leftovers are for flush()
-  auto node = items_.extract(items_.begin());
-  ++in_flight_;
-  not_full_.notify_one();
-  return std::move(node.value());
-}
-
-BoundedJobQueue::PushStatus BoundedJobQueue::push_resumed(QueuedJob& item) {
+bool BoundedJobQueue::requeue(QueuedJob& item) {
   std::lock_guard lock(mutex_);
-  if (closed_) return PushStatus::kClosed;
+  if (closed_) return false;
   items_.insert(std::move(item));
   not_empty_.notify_one();
-  return PushStatus::kAccepted;
+  return true;
 }
 
 std::optional<QueuedJob> BoundedJobQueue::try_steal() {
   std::lock_guard lock(mutex_);
   if (closed_) return std::nullopt;
+  const auto now = Clock::now();
   const auto it = std::find_if(items_.begin(), items_.end(),
-                               [](const QueuedJob& j) {
-                                 return j.opts.stealable;
+                               [now](const QueuedJob& j) {
+                                 return j.opts.stealable && j.ready_at <= now;
                                });
   if (it == items_.end()) return std::nullopt;
   auto node = items_.extract(it);
@@ -96,8 +100,13 @@ std::optional<QueuedJob> BoundedJobQueue::try_steal() {
 
 bool BoundedJobQueue::has_higher_priority_queued(int priority) const {
   std::lock_guard lock(mutex_);
-  // items_ is priority-ordered, so the front is the best queued entry.
-  return !items_.empty() && items_.begin()->opts.priority > priority;
+  // items_ is priority-ordered: only its outranking prefix can preempt, and
+  // only through an entry that is ready.
+  for (const auto& job : items_) {
+    if (job.opts.priority <= priority) break;
+    if (job.ready_at <= Clock::now()) return true;
+  }
+  return false;
 }
 
 bool BoundedJobQueue::closed() const {
@@ -109,13 +118,7 @@ void BoundedJobQueue::task_done() {
   std::lock_guard lock(mutex_);
   if (in_flight_ == 0)
     throw std::logic_error("BoundedJobQueue::task_done without matching pop");
-  if (--in_flight_ == 0 && items_.empty()) idle_.notify_all();
-}
-
-void BoundedJobQueue::wait_idle() {
-  std::unique_lock lock(mutex_);
-  idle_.wait(lock,
-             [&] { return (items_.empty() && in_flight_ == 0) || closed_; });
+  --in_flight_;
 }
 
 void BoundedJobQueue::close() {
@@ -123,7 +126,6 @@ void BoundedJobQueue::close() {
   closed_ = true;
   not_empty_.notify_all();
   not_full_.notify_all();
-  idle_.notify_all();
 }
 
 std::vector<QueuedJob> BoundedJobQueue::flush() {

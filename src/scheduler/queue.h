@@ -2,11 +2,14 @@
 // of the async scheduler. One instance backs each per-kind worker pool.
 //
 // Ordering: strict priority (higher first), FIFO by submission sequence
-// within a priority class. Capacity is enforced by one of three backpressure
+// within a priority class, among the entries that are ready: an entry whose
+// QueuedJob::ready_at lies ahead (a retry waiting out its backoff) stays
+// queued but is skipped by pop, try_steal and has_higher_priority_queued
+// until then. Capacity is enforced at push() by one of three backpressure
 // policies (job.h): block the producer, reject the newcomer, or shed the
-// longest-waiting entry. The queue also tracks popped-but-unfinished work
-// (task_done / wait_idle, in the spirit of Python's queue.join) so drain()
-// can wait for true quiescence rather than just an empty queue.
+// longest-waiting entry; a requeue() bypasses it. The queue counts popped
+// but unfinished entries (task_done / in_flight) for PoolStats::in_flight;
+// drain() counts at the promise instead (Scheduler::outstanding_).
 #pragma once
 
 #include <condition_variable>
@@ -32,55 +35,49 @@ class BoundedJobQueue {
   /// accepts. Returns kClosed (item intact) once close() has been called.
   PushStatus push(QueuedJob& item, std::optional<QueuedJob>* shed);
 
-  /// Blocks until an entry is available and returns the front of the
-  /// priority order, or nullopt once the queue is closed. A successful pop
-  /// marks one task in flight; the consumer must pair it with task_done().
-  std::optional<QueuedJob> pop();
+  /// Blocks until an entry is ready and returns the front of the priority
+  /// order among the ready ones, or nullopt once the queue is closed or, if
+  /// given, `deadline` passes (work-stealing workers poll their own queue
+  /// this way before looking for a victim; check closed() to tell the two
+  /// apart). A successful pop marks one task in flight; the consumer must
+  /// pair it with task_done().
+  std::optional<QueuedJob> pop(
+      std::optional<Clock::time_point> deadline = std::nullopt);
 
-  /// As pop(), but gives up after `timeout`, returning nullopt. Used by
-  /// work-stealing workers, which poll their own queue and then look for a
-  /// victim; check closed() to distinguish a timeout from shutdown.
-  std::optional<QueuedJob> pop_for(Clock::duration timeout);
+  /// Puts back a job a worker popped and did not finish (a retry, a
+  /// failover hop or a yield), to be dequeued from `item.ready_at` on.
+  /// Bypasses the capacity check: the job was admitted once, at push(), so
+  /// its requeue never blocks, sheds or rejects. The entry keeps its seq and
+  /// so returns to the front of its priority class. Returns false (item
+  /// intact) once close() has been called.
+  bool requeue(QueuedJob& item);
 
-  /// Re-enqueues a job a worker popped and then preempted mid-execution
-  /// (consumed only on kAccepted; returns kClosed once close() has been
-  /// called, leaving the item intact). Bypasses the capacity check — the job
-  /// already held a queue slot when it was first admitted, so a yield must
-  /// never block, shed, or reject. The entry keeps its original seq and so
-  /// resumes at the front of its priority class.
-  PushStatus push_resumed(QueuedJob& item);
-
-  /// Removes the highest-priority entry whose JobOptions::stealable is set,
-  /// or nullopt when there is none (or the queue is closed). Like pop(), a
-  /// successful steal marks one task in flight *on this queue*: the thief
-  /// must call this queue's task_done() when the stolen job finishes, which
-  /// keeps wait_idle()/drain accounting exact across pools.
+  /// Removes the highest-priority ready entry whose JobOptions::stealable
+  /// is set, or nullopt when there is none (or the queue is closed). Like
+  /// pop(), a successful steal marks one task in flight *on this queue*: the
+  /// thief must call this queue's task_done() when it is done with the job.
   std::optional<QueuedJob> try_steal();
 
-  /// True when a queued entry outranks `priority` — the preemption signal a
+  /// True when a ready entry outranks `priority` — the preemption signal a
   /// running low-priority job's YieldProbe polls at checkpoint boundaries.
   bool has_higher_priority_queued(int priority) const;
 
   /// True once close() has been called.
   bool closed() const;
 
-  /// Marks one popped task finished (see pop / wait_idle).
+  /// Marks one popped task finished (see pop).
   void task_done();
 
-  /// Blocks until the queue is empty AND every popped task has been
-  /// task_done()'d — i.e. the pool is quiescent. Returns immediately once
-  /// closed.
-  void wait_idle();
-
   /// Closes the queue: blocked and future push() calls return kClosed,
-  /// pop() returns nullopt even while entries remain queued (they are
-  /// retrieved with flush()), and wait_idle() unblocks.
+  /// requeue() returns false, and pop() returns nullopt even while entries
+  /// remain queued (they are retrieved with flush()).
   void close();
 
-  /// Removes and returns every still-queued entry in pop (priority) order.
-  /// Meant for the shutdown path, after close().
+  /// Removes and returns every still-queued entry, ready or not, in
+  /// (priority, seq) order. Meant for the shutdown path, after close().
   std::vector<QueuedJob> flush();
 
+  /// Queued entries, ready or not.
   std::size_t size() const;
   /// Popped-but-not-yet-task_done()'d entries — the pool's running jobs.
   std::size_t in_flight() const;
@@ -101,7 +98,6 @@ class BoundedJobQueue {
   mutable std::mutex mutex_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
-  std::condition_variable idle_;
   std::set<QueuedJob, Order> items_;
   std::size_t capacity_;
   BackpressurePolicy policy_;

@@ -20,6 +20,29 @@ std::string attempt_prefix(std::uint64_t attempt) {
   return "attempt " + std::to_string(attempt) + ": ";
 }
 
+/// The verdict on a job whose answer is no longer wanted: cancelled, or past
+/// its deadline. nullopt means the job may run (or its result be delivered).
+/// Checked at every dequeue, at a memo replay and at every rider delivery.
+std::optional<core::JobResult> cancelled_or_expired(const std::string& name,
+                                                    const JobOptions& opts) {
+  core::JobResult result;
+  if (opts.cancel && opts.cancel->cancelled()) {
+    result.disposition = core::JobDisposition::kCancelled;
+    result.summary = "sched: job '" + name + "' cancelled before execution";
+    telemetry::count("sched.cancelled");
+    TELEM_TRACE_INSTANT("sched.cancelled");
+    return result;
+  }
+  if (opts.deadline && Clock::now() >= *opts.deadline) {
+    result.disposition = core::JobDisposition::kDeadlineMissed;
+    result.summary = "sched: job '" + name + "' missed its deadline";
+    telemetry::count("sched.deadline_missed");
+    TELEM_TRACE_INSTANT("sched.deadline_expired");
+    return result;
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 Scheduler::Pool::Pool(core::AcceleratorKind k, std::size_t capacity,
@@ -40,6 +63,7 @@ void Scheduler::add_pool(core::AcceleratorKind kind, std::size_t workers,
   if (workers == 0)
     throw std::invalid_argument("sched: pool needs at least one worker");
   if (!factory) throw std::invalid_argument("sched: null accelerator factory");
+  auto& slot = by_kind_.at(static_cast<std::size_t>(kind));
 
   // REBOOTING_FAULTS wiring: kinds covered by the environment plan get their
   // replicas built behind deterministic fault injectors.
@@ -81,19 +105,24 @@ void Scheduler::add_pool(core::AcceleratorKind kind, std::size_t workers,
         " worker(s)); size a pool via the `workers` argument instead of "
         "adding it twice");
   Pool& p = *it->second;
+  slot.store(&p, std::memory_order_release);
   for (std::size_t i = 0; i < workers; ++i)
     p.threads.emplace_back(&Scheduler::worker_loop, this, std::ref(p),
                            std::ref(*p.replicas[i]), std::ref(*p.workers[i]),
                            i);
 }
 
+Scheduler::Pool* Scheduler::pool_of(core::AcceleratorKind kind) const {
+  return by_kind_[static_cast<std::size_t>(kind)].load(
+      std::memory_order_acquire);
+}
+
 Scheduler::Pool* Scheduler::find_pool(core::AcceleratorKind kind) const {
-  std::lock_guard lock(pools_mutex_);
-  const auto it = pools_.find(kind);
-  if (it == pools_.end())
+  Pool* pool = pool_of(kind);
+  if (!pool)
     throw std::out_of_range("sched: no worker pool for kind '" +
                             core::to_string(kind) + "'");
-  return it->second.get();
+  return pool;
 }
 
 std::future<core::JobResult> Scheduler::submit(core::Job job,
@@ -146,22 +175,7 @@ std::optional<std::future<core::JobResult>> Scheduler::try_memo(
     TELEM_TRACE_INSTANT("sched.memo_hit");
     std::promise<core::JobResult> promise;
     auto future = promise.get_future();
-    core::JobResult result;
-    if (opts.cancel && opts.cancel->cancelled()) {
-      result.disposition = core::JobDisposition::kCancelled;
-      result.summary =
-          "sched: job '" + name + "' cancelled before execution";
-      telemetry::count("sched.cancelled");
-      TELEM_TRACE_INSTANT("sched.cancelled");
-    } else if (opts.deadline && Clock::now() >= *opts.deadline) {
-      result.disposition = core::JobDisposition::kDeadlineMissed;
-      result.summary = "sched: job '" + name + "' missed its deadline";
-      telemetry::count("sched.deadline_missed");
-      TELEM_TRACE_INSTANT("sched.deadline_expired");
-    } else {
-      result = *cached;
-    }
-    promise.set_value(std::move(result));
+    promise.set_value(cancelled_or_expired(name, opts).value_or(*cached));
     return future;
   }
 
@@ -188,21 +202,16 @@ std::optional<std::future<core::JobResult>> Scheduler::try_memo(
   return std::nullopt;
 }
 
-void Scheduler::fulfill(QueuedJob& item, core::JobResult&& result) {
+void Scheduler::fulfill(QueuedJob& item, core::JobResult&& result,
+                        std::exception_ptr thrown) {
   if (item.memo_flight) {
-    settle_flight(item.memo_flight, &result, nullptr);
+    settle_flight(item.memo_flight, thrown ? nullptr : &result, thrown);
     item.memo_flight.reset();
   }
-  item.promise.set_value(std::move(result));
-  track_complete();
-}
-
-void Scheduler::fulfill_exception(QueuedJob& item, std::exception_ptr thrown) {
-  if (item.memo_flight) {
-    settle_flight(item.memo_flight, nullptr, thrown);
-    item.memo_flight.reset();
-  }
-  item.promise.set_exception(std::move(thrown));
+  if (thrown)
+    item.promise.set_exception(std::move(thrown));
+  else
+    item.promise.set_value(std::move(result));
   track_complete();
 }
 
@@ -231,27 +240,11 @@ void Scheduler::settle_flight(const std::shared_ptr<MemoFlight>& flight,
                     bytes);
   }
   for (auto& rider : riders) {
-    if (thrown) {
+    if (thrown)
       rider.promise.set_exception(thrown);
-    } else {
-      core::JobResult fanned;
-      if (rider.opts.cancel && rider.opts.cancel->cancelled()) {
-        fanned.disposition = core::JobDisposition::kCancelled;
-        fanned.summary = "sched: job '" + rider.name +
-                         "' cancelled before execution";
-        telemetry::count("sched.cancelled");
-        TELEM_TRACE_INSTANT("sched.cancelled");
-      } else if (rider.opts.deadline && Clock::now() >= *rider.opts.deadline) {
-        fanned.disposition = core::JobDisposition::kDeadlineMissed;
-        fanned.summary = "sched: job '" + rider.name +
-                         "' missed its deadline";
-        telemetry::count("sched.deadline_missed");
-        TELEM_TRACE_INSTANT("sched.deadline_expired");
-      } else {
-        fanned = *result;
-      }
-      rider.promise.set_value(std::move(fanned));
-    }
+    else
+      rider.promise.set_value(
+          cancelled_or_expired(rider.name, rider.opts).value_or(*result));
     track_complete();
   }
 }
@@ -275,7 +268,7 @@ std::future<core::JobResult> Scheduler::submit_preemptible(
 
 std::future<core::JobResult> Scheduler::enqueue(QueuedJob item, Pool* pool) {
   item.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  item.enqueued_at = Clock::now();
+  item.submitted_at = item.ready_at = Clock::now();
   auto future = item.promise.get_future();
   track_accept();
 
@@ -333,7 +326,7 @@ void Scheduler::worker_loop(Pool& pool, core::Accelerator& replica,
     if (config_.work_stealing) {
       // Poll the home queue briefly, then go looking for an overloaded
       // victim pool; an idle system just cycles the poll.
-      popped = pool.queue.pop_for(config_.steal_poll);
+      popped = pool.queue.pop(Clock::now() + config_.steal_poll);
       if (!popped) {
         if (pool.queue.closed()) break;
         popped = steal_from_other_pool(pool, source);
@@ -353,24 +346,18 @@ void Scheduler::worker_loop(Pool& pool, core::Accelerator& replica,
 
 std::optional<QueuedJob> Scheduler::steal_from_other_pool(
     const Pool& thief, BoundedJobQueue*& source) {
-  // try_lock, not lock: shutdown() joins workers while holding pools_mutex_,
-  // so a blocking acquire here could deadlock the join.
-  std::unique_lock lock(pools_mutex_, std::try_to_lock);
-  if (!lock.owns_lock()) return std::nullopt;
   Pool* victim = nullptr;
   std::size_t deepest = 0;
-  for (const auto& [kind, pool] : pools_) {
-    if (pool.get() == &thief) continue;
+  for (const auto& slot : by_kind_) {
+    Pool* pool = slot.load(std::memory_order_acquire);
+    if (!pool || pool == &thief) continue;
     const std::size_t depth = pool->queue.size();
     if (depth > deepest) {
       deepest = depth;
-      victim = pool.get();
+      victim = pool;
     }
   }
   if (!victim) return std::nullopt;
-  // The pool map never shrinks before shutdown, so the victim outlives the
-  // steal; release the map lock before touching its queue lock.
-  lock.unlock();
   auto stolen = victim->queue.try_steal();
   if (stolen) source = &victim->queue;
   return stolen;
@@ -380,64 +367,36 @@ void Scheduler::execute(Pool& pool, BoundedJobQueue& source,
                         core::Accelerator& replica, core::Accelerator& target,
                         core::FaultyAccelerator* faulty, Worker& state,
                         QueuedJob item) {
-    const auto dequeued = Clock::now();
-    const core::Real wait = seconds_between(item.enqueued_at, dequeued);
-    telemetry::record("sched.wait_seconds", wait);
-    telemetry::gauge(pool.depth_gauge,
-                     static_cast<core::Real>(pool.queue.size()));
+  // One wait stint per dequeue, from the moment the entry became ready, so
+  // a retry's backoff is not reported as queue wait.
+  telemetry::record("sched.wait_seconds",
+                    seconds_between(item.ready_at, Clock::now()));
+  telemetry::gauge(pool.depth_gauge,
+                   static_cast<core::Real>(pool.queue.size()));
 
-    // One slice per job, named after the job, covering everything that
-    // happens to it on this worker (execution or the cancel/deadline
-    // verdict). The flow step hooks the arrow from the submit slice here.
-    telemetry::TraceScope job_scope(
-        telemetry::trace_enabled()
-            ? telemetry::TraceRecorder::instance().intern(item.name)
-            : nullptr,
-        "sched", item.seq);
-    TELEM_TRACE_FLOW_STEP("job", item.seq);
+  // One slice per dequeue, named after the job, covering everything that
+  // happens to it on this worker (the attempt, the slice, or the
+  // cancel/deadline verdict). The flow step hooks the arrow from the submit
+  // slice (or the previous requeue) here.
+  telemetry::TraceScope job_scope(
+      telemetry::trace_enabled()
+          ? telemetry::TraceRecorder::instance().intern(item.name)
+          : nullptr,
+      "sched", item.seq);
+  TELEM_TRACE_FLOW_STEP("job", item.seq);
 
-    core::JobResult result;
-    Verdict verdict = Verdict::kCompleted;
-    if (item.opts.cancel && item.opts.cancel->cancelled()) {
-      result.disposition = core::JobDisposition::kCancelled;
-      result.summary = "sched: job '" + item.name +
-                       "' cancelled before execution";
-      result.attempts = item.attempts_done;
-      result.fault_log = std::move(item.fault_log);
-      telemetry::count("sched.cancelled");
-      TELEM_TRACE_INSTANT("sched.cancelled");
-    } else if (item.opts.deadline && dequeued >= *item.opts.deadline) {
-      result.disposition = core::JobDisposition::kDeadlineMissed;
-      result.summary = "sched: job '" + item.name +
-                       "' missed its deadline after waiting " +
-                       std::to_string(wait) + " s";
-      result.attempts = item.attempts_done;
-      result.fault_log = std::move(item.fault_log);
-      telemetry::count("sched.deadline_missed");
-      TELEM_TRACE_INSTANT("sched.deadline_expired");
-    } else if (item.preemptible) {
-      verdict = run_slice(pool, source, replica, target, item, result);
-    } else {
-      verdict = run_attempts(pool, replica, target, faulty, state, item,
-                             result);
-    }
-    if (verdict != Verdict::kFailedOver && verdict != Verdict::kYielded)
-      TELEM_TRACE_FLOW_END("job", item.seq);
-    if (verdict == Verdict::kCompleted) {
-      telemetry::record("sched.latency_seconds",
-                        seconds_between(item.enqueued_at, Clock::now()));
-      fulfill(item, std::move(result));
-    }
-    // kThrew already fulfilled the promise (exception) inside run_slice /
-    // run_attempts; kFailedOver and kYielded re-queued the job elsewhere.
-    source.task_done();
+  if (auto verdict = cancelled_or_expired(item.name, item.opts))
+    settle(pool, item, std::move(*verdict));
+  else if (item.preemptible)
+    run_slice(pool, source, replica, target, item);
+  else
+    run_attempt(pool, replica, target, faulty, state, item);
+  source.task_done();
 }
 
-Scheduler::Verdict Scheduler::run_slice(Pool& pool, BoundedJobQueue& source,
-                                        core::Accelerator& replica,
-                                        core::Accelerator& target,
-                                        QueuedJob& item,
-                                        core::JobResult& out) {
+void Scheduler::run_slice(Pool& pool, BoundedJobQueue& source,
+                          core::Accelerator& replica,
+                          core::Accelerator& target, QueuedJob& item) {
   // Preemptible jobs bypass the retry/fault/breaker machinery on purpose:
   // their unit of resilience is the checkpoint carried inside the payload,
   // and the chaos suite exercises crash-resume rather than in-line retries.
@@ -460,15 +419,11 @@ Scheduler::Verdict Scheduler::run_slice(Pool& pool, BoundedJobQueue& source,
     res = item.preemptible(target, probe);
   } catch (...) {
     telemetry::count("sched.payload_exceptions");
-    if (telemetry::Telemetry::enabled()) {
-      auto& metrics = telemetry::Telemetry::instance().metrics();
-      metrics.add("sched.jobs");
-      metrics.add(pool.jobs_counter);
-    }
-    fulfill_exception(item, std::current_exception());
-    return Verdict::kThrew;
+    settle(pool, item, {}, std::current_exception());
+    return;
   }
   const core::Real service = seconds_between(start, Clock::now());
+  item.service_seconds += service;
   replica.record_completion(service);
   slices_.fetch_add(1, std::memory_order_relaxed);
   if (telemetry::Telemetry::enabled()) {
@@ -479,273 +434,186 @@ Scheduler::Verdict Scheduler::run_slice(Pool& pool, BoundedJobQueue& source,
   }
 
   if (!res) {
-    // Yielded at a checkpoint: the remainder re-enters the queue with its
-    // original seq — the front of its priority class — and the worker turns
-    // to the higher-priority work that triggered the preemption.
+    // Yielded at a checkpoint: the remainder goes back with its original
+    // seq — the front of its priority class — and the worker turns to the
+    // higher-priority work that triggered the preemption.
     preempts_.fetch_add(1, std::memory_order_relaxed);
     telemetry::count("sched.preempt");
     TELEM_TRACE_INSTANT("sched.preempt");
-    TELEM_TRACE_FLOW_STEP("job", item.seq);
     item.resumed = true;
-    item.enqueued_at = Clock::now();
-    if (source.push_resumed(item) != BoundedJobQueue::PushStatus::kAccepted) {
-      // Shutdown closed the queue mid-slice; the remainder will never run.
-      complete_unrun(std::move(item), "flushed at shutdown mid-slice",
-                     "sched.flushed", core::JobDisposition::kFlushed);
+    requeue(std::move(item), Clock::now());
+    return;
+  }
+  item.attempts = 1;
+  settle(pool, item, std::move(*res));
+}
+
+void Scheduler::run_attempt(Pool& pool, core::Accelerator& replica,
+                            core::Accelerator& target,
+                            core::FaultyAccelerator* faulty, Worker& state,
+                            QueuedJob& item) {
+  // Health gate: an open breaker refuses the attempt on this replica.
+  const bool refused = !state.breaker.allow();
+  std::exception_ptr thrown;
+  if (!refused) {
+    const std::uint64_t attempt = ++item.attempts;
+    telemetry::count("sched.attempts");
+    const auto log_fault = [&](const std::string& what) {
+      item.fault_log.push_back(attempt_prefix(attempt) + what);
+      telemetry::count("sched.faults_injected");
+      TELEM_TRACE_INSTANT("sched.fault_injected");
+    };
+    core::FaultOutcome fault;
+    if (faulty) fault = faulty->on_attempt(item.seq, attempt);
+    if (fault.kind == core::FaultKind::kTransient ||
+        fault.kind == core::FaultKind::kPermanent) {
+      // The device "failed" before doing any work: the payload never runs.
+      log_fault(fault.description);
     } else {
-      telemetry::gauge(pool.depth_gauge,
-                       static_cast<core::Real>(source.size()));
+      if (fault.kind == core::FaultKind::kLatencySpike) {
+        // The device stalls, then works: the one sleep on a worker.
+        log_fault(fault.description);
+        std::this_thread::sleep_for(
+            std::chrono::duration<core::Real>(fault.latency_seconds));
+      }
+      const auto start = Clock::now();
+      core::JobResult result;
+      try {
+        TELEM_SPAN("sched." + core::to_string(pool.kind));
+        result = item.payload(target);
+      } catch (...) {
+        thrown = std::current_exception();
+        telemetry::count("sched.payload_exceptions");
+      }
+      const core::Real service = seconds_between(start, Clock::now());
+      item.service_seconds += service;
+      replica.record_completion(service);
+      if (telemetry::Telemetry::enabled()) {
+        auto& metrics = telemetry::Telemetry::instance().metrics();
+        metrics.add(pool.busy_counter, service);
+        metrics.record("sched.service_seconds", service);
+      }
+      if (thrown) {
+        item.fault_log.push_back(attempt_prefix(attempt) + "payload threw");
+      } else if (fault.kind == core::FaultKind::kCorruption) {
+        log_fault(fault.description);
+      } else if (!result.ok) {
+        item.fault_log.push_back(attempt_prefix(attempt) +
+                                 "payload failed: " + result.summary);
+        item.last_failure = std::move(result);
+      } else {
+        state.breaker.record_success();
+        result.degraded = attempt > 1 || item.failed_over;
+        settle(pool, item, std::move(result));
+        return;
+      }
     }
-    return Verdict::kYielded;
+    if (state.breaker.record_failure()) {
+      telemetry::count("sched.breaker_open");
+      TELEM_TRACE_INSTANT("sched.breaker_open");
+    }
   }
 
-  out = std::move(*res);
-  out.attempts = 1;
-  if (telemetry::Telemetry::enabled()) {
+  // The attempt failed or was refused: fail over, give up, or retry.
+  RetryPolicy& retry = item.opts.retry;
+  const std::size_t max_attempts = std::max<std::size_t>(retry.max_attempts, 1);
+  if ((refused || item.attempts >= max_attempts) && retry.cpu_fallback &&
+      !item.failed_over &&
+      pool.kind != core::AcceleratorKind::kClassicalCpu &&
+      pool_of(core::AcceleratorKind::kClassicalCpu)) {
+    item.fault_log.push_back(
+        refused ? "breaker open on " + core::to_string(pool.kind) +
+                      " replica; failing over"
+                : "attempts exhausted on " + core::to_string(pool.kind) +
+                      "; failing over to classical-cpu");
+    // A job whose attempts are spent still gets the one attempt the hop
+    // promises it.
+    retry.max_attempts = std::max<std::size_t>(max_attempts, item.attempts + 1);
+    item.kind = core::AcceleratorKind::kClassicalCpu;
+    item.failed_over = true;
+    telemetry::count("sched.failover");
+    TELEM_TRACE_INSTANT("sched.failover");
+    requeue(std::move(item), Clock::now());
+    return;
+  }
+  if (refused)
+    item.fault_log.push_back(attempt_prefix(++item.attempts) +
+                             "circuit breaker open, execution refused");
+
+  const auto give_up = [&](const std::string& why) {
+    core::JobResult result;
+    if (item.last_failure)
+      result = std::move(*item.last_failure);
+    else
+      result.summary = "sched: job '" + item.name + "' failed after " +
+                       std::to_string(item.attempts) + " attempt(s)" + why;
+    settle(pool, item, std::move(result));
+  };
+  if (item.attempts >= max_attempts) {
+    // A final attempt that threw propagates the exception, as a
+    // single-attempt job always did.
+    if (thrown)
+      settle(pool, item, {}, std::move(thrown));
+    else
+      give_up("");
+    return;
+  }
+  const auto delay = backoff_delay(retry, item.attempts, item.seq);
+  const auto now = Clock::now();
+  const std::string after =
+      " after " + std::to_string(item.attempts) + " attempt(s)";
+  if (item.backoff_spent + delay > retry.retry_budget) {
+    item.fault_log.push_back("retry budget exhausted" + after);
+    give_up("; retry budget exhausted");
+  } else if (item.opts.deadline && now + delay >= *item.opts.deadline) {
+    telemetry::count("sched.deadline_missed");
+    TELEM_TRACE_INSTANT("sched.deadline_expired");
+    item.fault_log.push_back(
+        "backoff would cross the deadline; giving up" + after);
+    give_up("; backoff would cross the deadline");
+  } else {
+    telemetry::count("sched.retries");
+    TELEM_TRACE_INSTANT("sched.retry");
+    item.backoff_spent += delay;
+    requeue(std::move(item), now + delay);
+  }
+}
+
+void Scheduler::requeue(QueuedJob&& item, Clock::time_point ready_at) {
+  // The requeue hop in the job's flow chain: submit -> dequeue -> requeue
+  // -> dequeue ... -> complete.
+  TELEM_TRACE_FLOW_STEP("job", item.seq);
+  item.ready_at = ready_at;
+  Pool& pool = *pool_of(item.kind);
+  if (!pool.queue.requeue(item)) {
+    complete_unrun(std::move(item), "flushed at shutdown", "sched.flushed",
+                   core::JobDisposition::kFlushed);
+    return;
+  }
+  telemetry::gauge(pool.depth_gauge,
+                   static_cast<core::Real>(pool.queue.size()));
+}
+
+void Scheduler::settle(const Pool& pool, QueuedJob& item,
+                       core::JobResult result, std::exception_ptr thrown) {
+  result.attempts = item.attempts;
+  result.wall_seconds = item.service_seconds;
+  result.fault_log = std::move(item.fault_log);
+  // Executed jobs — ran to a verdict or threw — count on the pool that ran
+  // them; a cancel/deadline verdict at dequeue counts elsewhere.
+  if ((thrown || result.disposition == core::JobDisposition::kExecuted) &&
+      telemetry::Telemetry::enabled()) {
     auto& metrics = telemetry::Telemetry::instance().metrics();
     metrics.add("sched.jobs");
     metrics.add(pool.jobs_counter);
-    if (!out.ok) metrics.add("sched.jobs_failed");
-    for (const auto& [key, value] : out.metrics) metrics.add(key, value);
+    if (!thrown && !result.ok) metrics.add("sched.jobs_failed");
+    if (result.degraded) metrics.add("sched.degraded");
+    for (const auto& [key, value] : result.metrics) metrics.add(key, value);
   }
-  return Verdict::kCompleted;
-}
-
-Scheduler::Verdict Scheduler::run_attempts(Pool& pool,
-                                           core::Accelerator& replica,
-                                           core::Accelerator& target,
-                                           core::FaultyAccelerator* faulty,
-                                           Worker& state, QueuedJob& item,
-                                           core::JobResult& out) {
-  const RetryPolicy& retry = item.opts.retry;
-  std::size_t max_attempts = retry.max_attempts == 0 ? 1 : retry.max_attempts;
-  // A job failed over with its budget already spent still deserves the one
-  // attempt the hop promised it.
-  if (item.failed_over && item.attempts_done >= max_attempts)
-    max_attempts = item.attempts_done + 1;
-
-  std::uint64_t attempts = item.attempts_done;
-  std::vector<std::string> fault_log = std::move(item.fault_log);
-  core::Real total_service = 0.0;
-  Clock::duration backoff_spent{0};
-  // The most recent ok=false result the payload itself produced. When the
-  // job gives up, this is returned verbatim (annotated with the attempt
-  // bookkeeping) so a single-attempt job behaves exactly as it did before
-  // the resilience layer existed.
-  core::JobResult last_result;
-  bool have_last = false;
-
-  const auto fail_with = [&](std::string why) {
-    if (have_last) {
-      out = std::move(last_result);
-    } else {
-      out.ok = false;
-      out.summary = "sched: job '" + item.name + "' " + std::move(why);
-    }
-    out.attempts = attempts;
-    out.wall_seconds = total_service;
-    out.fault_log = std::move(fault_log);
-    if (telemetry::Telemetry::enabled()) {
-      auto& metrics = telemetry::Telemetry::instance().metrics();
-      metrics.add("sched.jobs");
-      metrics.add(pool.jobs_counter);
-      metrics.add("sched.jobs_failed");
-      for (const auto& [key, value] : out.metrics) metrics.add(key, value);
-    }
-  };
-
-  for (;;) {
-    // Health gate: an open breaker refuses the attempt on this replica.
-    if (!state.breaker.allow()) {
-      if (failover_eligible(retry, item, pool)) {
-        fault_log.push_back("breaker open on " + core::to_string(pool.kind) +
-                            " replica; failing over");
-        return failover(std::move(item), attempts, std::move(fault_log));
-      }
-      ++attempts;
-      fault_log.push_back(attempt_prefix(attempts) +
-                          "circuit breaker open, execution refused");
-    } else {
-      ++attempts;
-      telemetry::count("sched.attempts");
-      bool failed = false;
-      bool threw = false;
-      std::exception_ptr thrown;
-      core::FaultOutcome fault;
-      if (faulty) fault = faulty->on_attempt(item.seq, attempts);
-      if (fault.kind == core::FaultKind::kTransient ||
-          fault.kind == core::FaultKind::kPermanent) {
-        // The device "failed" before doing any work: the payload never runs.
-        failed = true;
-        fault_log.push_back(attempt_prefix(attempts) + fault.description);
-        telemetry::count("sched.faults_injected");
-        TELEM_TRACE_INSTANT("sched.fault_injected");
-      } else {
-        if (fault.kind == core::FaultKind::kLatencySpike) {
-          fault_log.push_back(attempt_prefix(attempts) + fault.description);
-          telemetry::count("sched.faults_injected");
-          TELEM_TRACE_INSTANT("sched.fault_injected");
-          std::this_thread::sleep_for(
-              std::chrono::duration<core::Real>(fault.latency_seconds));
-        }
-        const auto start = Clock::now();
-        core::JobResult attempt_result;
-        try {
-          TELEM_SPAN("sched." + core::to_string(pool.kind));
-          attempt_result = item.payload(target);
-        } catch (...) {
-          threw = true;
-          thrown = std::current_exception();
-          telemetry::count("sched.payload_exceptions");
-        }
-        const core::Real service = seconds_between(start, Clock::now());
-        total_service += service;
-        replica.record_completion(service);
-        if (telemetry::Telemetry::enabled()) {
-          auto& metrics = telemetry::Telemetry::instance().metrics();
-          metrics.add(pool.busy_counter, service);
-          metrics.record("sched.service_seconds", service);
-        }
-        if (threw) {
-          failed = true;
-          fault_log.push_back(attempt_prefix(attempts) + "payload threw");
-        } else if (fault.kind == core::FaultKind::kCorruption) {
-          failed = true;
-          fault_log.push_back(attempt_prefix(attempts) + fault.description);
-          telemetry::count("sched.faults_injected");
-          TELEM_TRACE_INSTANT("sched.fault_injected");
-        } else if (!attempt_result.ok) {
-          failed = true;
-          fault_log.push_back(attempt_prefix(attempts) + "payload failed: " +
-                              attempt_result.summary);
-          last_result = std::move(attempt_result);
-          have_last = true;
-        } else {
-          // Success.
-          state.breaker.record_success();
-          out = std::move(attempt_result);
-          out.attempts = attempts;
-          out.wall_seconds = total_service;
-          out.degraded = attempts > 1 || item.failed_over;
-          out.fault_log = std::move(fault_log);
-          if (telemetry::Telemetry::enabled()) {
-            auto& metrics = telemetry::Telemetry::instance().metrics();
-            metrics.add("sched.jobs");
-            metrics.add(pool.jobs_counter);
-            if (out.degraded) metrics.add("sched.degraded");
-            for (const auto& [key, value] : out.metrics)
-              metrics.add(key, value);
-          }
-          return Verdict::kCompleted;
-        }
-      }
-      if (failed && state.breaker.record_failure()) {
-        telemetry::count("sched.breaker_open");
-        TELEM_TRACE_INSTANT("sched.breaker_open");
-      }
-      if (threw && attempts >= max_attempts &&
-          !failover_eligible(retry, item, pool)) {
-        // Final attempt threw: propagate the exception, as a single-attempt
-        // job always did. It still counts as an executed job.
-        if (telemetry::Telemetry::enabled()) {
-          auto& metrics = telemetry::Telemetry::instance().metrics();
-          metrics.add("sched.jobs");
-          metrics.add(pool.jobs_counter);
-        }
-        fulfill_exception(item, std::move(thrown));
-        return Verdict::kThrew;
-      }
-    }
-
-    if (attempts >= max_attempts) {
-      if (failover_eligible(retry, item, pool)) {
-        fault_log.push_back("attempts exhausted on " +
-                            core::to_string(pool.kind) +
-                            "; failing over to classical-cpu");
-        return failover(std::move(item), attempts, std::move(fault_log));
-      }
-      fail_with("failed after " + std::to_string(attempts) + " attempt(s)");
-      return Verdict::kCompleted;
-    }
-
-    // Backoff before the next attempt, honoring deadline and retry budget.
-    const auto delay = backoff_delay(retry, attempts, item.seq);
-    if (backoff_spent + delay > retry.retry_budget) {
-      fault_log.push_back("retry budget exhausted after " +
-                          std::to_string(attempts) + " attempt(s)");
-      fail_with("failed after " + std::to_string(attempts) +
-                " attempt(s); retry budget exhausted");
-      return Verdict::kCompleted;
-    }
-    if (item.opts.deadline && Clock::now() + delay >= *item.opts.deadline) {
-      telemetry::count("sched.deadline_missed");
-      TELEM_TRACE_INSTANT("sched.deadline_expired");
-      fault_log.push_back("backoff would cross the deadline; giving up after " +
-                          std::to_string(attempts) + " attempt(s)");
-      fail_with("failed after " + std::to_string(attempts) +
-                " attempt(s); backoff would cross the deadline");
-      return Verdict::kCompleted;
-    }
-    telemetry::count("sched.retries");
-    TELEM_TRACE_INSTANT("sched.retry");
-    std::this_thread::sleep_for(delay);
-    backoff_spent += delay;
-    if (item.opts.cancel && item.opts.cancel->cancelled()) {
-      out.disposition = core::JobDisposition::kCancelled;
-      out.attempts = attempts;
-      out.fault_log = std::move(fault_log);
-      out.wall_seconds = total_service;
-      out.summary = "sched: job '" + item.name +
-                    "' cancelled between retry attempts";
-      telemetry::count("sched.cancelled");
-      TELEM_TRACE_INSTANT("sched.cancelled");
-      return Verdict::kCompleted;
-    }
-  }
-}
-
-bool Scheduler::failover_eligible(const RetryPolicy& retry,
-                                  const QueuedJob& item,
-                                  const Pool& pool) const {
-  return retry.cpu_fallback && !item.failed_over &&
-         pool.kind != core::AcceleratorKind::kClassicalCpu &&
-         has_pool(core::AcceleratorKind::kClassicalCpu);
-}
-
-Scheduler::Verdict Scheduler::failover(QueuedJob&& item,
-                                       std::uint64_t attempts,
-                                       std::vector<std::string>&& fault_log) {
-  Pool* cpu = find_pool(core::AcceleratorKind::kClassicalCpu);
-  item.kind = core::AcceleratorKind::kClassicalCpu;
-  item.failed_over = true;
-  item.attempts_done = attempts;
-  item.fault_log = std::move(fault_log);
-  item.enqueued_at = Clock::now();
-  telemetry::count("sched.failover");
-  TELEM_TRACE_INSTANT("sched.failover");
-  // The re-submit hop in the job's flow chain: submit -> dequeue ->
-  // failover -> dequeue (cpu) -> complete.
-  TELEM_TRACE_FLOW_STEP("job", item.seq);
-  std::optional<QueuedJob> shed;
-  const auto status = cpu->queue.push(item, &shed);
-  if (shed)
-    complete_unrun(std::move(*shed), "shed by backpressure (queue full)",
-                   "sched.shed", core::JobDisposition::kShed);
-  switch (status) {
-    case BoundedJobQueue::PushStatus::kAccepted:
-      telemetry::gauge(cpu->depth_gauge,
-                       static_cast<core::Real>(cpu->queue.size()));
-      break;
-    case BoundedJobQueue::PushStatus::kRejected:
-      complete_unrun(std::move(item), "rejected by backpressure (queue full)",
-                     "sched.rejected", core::JobDisposition::kRejected);
-      break;
-    case BoundedJobQueue::PushStatus::kClosed:
-      complete_unrun(std::move(item), "not accepted: scheduler shut down",
-                     "sched.flushed", core::JobDisposition::kFlushed);
-      break;
-  }
-  return Verdict::kFailedOver;
+  telemetry::record("sched.latency_seconds",
+                    seconds_between(item.submitted_at, Clock::now()));
+  TELEM_TRACE_FLOW_END("job", item.seq);
+  fulfill(item, std::move(result), std::move(thrown));
 }
 
 Clock::duration Scheduler::backoff_delay(const RetryPolicy& retry,
@@ -777,7 +645,7 @@ void Scheduler::complete_unrun(QueuedJob&& item, const std::string& why,
   result.ok = false;
   result.disposition = disposition;
   result.summary = "sched: job '" + item.name + "' " + why;
-  result.attempts = item.attempts_done;
+  result.attempts = item.attempts;
   result.fault_log = std::move(item.fault_log);
   fulfill(item, std::move(result));
 }
@@ -803,26 +671,33 @@ void Scheduler::drain() {
 void Scheduler::shutdown() {
   std::call_once(shutdown_once_, [this] {
     accepting_.store(false, std::memory_order_release);
+    // Close and collect under the lock, join outside it: nothing a worker
+    // or a payload does while finishing its last attempt may wait on a
+    // lock that is held across the join. add_pool refuses from here on.
+    std::vector<std::thread> threads;
+    {
+      std::lock_guard lock(pools_mutex_);
+      for (auto& [kind, pool] : pools_) {
+        pool->queue.close();
+        for (auto& thread : pool->threads) threads.push_back(std::move(thread));
+      }
+    }
+    for (auto& thread : threads) thread.join();
     std::lock_guard lock(pools_mutex_);
-    for (auto& [kind, pool] : pools_) pool->queue.close();
-    for (auto& [kind, pool] : pools_)
-      for (auto& thread : pool->threads)
-        if (thread.joinable()) thread.join();
     // Workers are gone; whatever stayed queued is completed, not executed.
     // flush() hands the leftovers back in queue (priority, then FIFO) order,
     // so the ok=false completions are deterministic.
     for (auto& [kind, pool] : pools_) {
       for (auto& item : pool->queue.flush())
-        complete_unrun(std::move(item), "flushed at shutdown before execution",
-                       "sched.flushed", core::JobDisposition::kFlushed);
+        complete_unrun(std::move(item), "flushed at shutdown", "sched.flushed",
+                       core::JobDisposition::kFlushed);
       telemetry::gauge(pool->depth_gauge, 0.0);
     }
   });
 }
 
 bool Scheduler::has_pool(core::AcceleratorKind kind) const {
-  std::lock_guard lock(pools_mutex_);
-  return pools_.contains(kind);
+  return pool_of(kind) != nullptr;
 }
 
 std::size_t Scheduler::queue_depth(core::AcceleratorKind kind) const {

@@ -14,15 +14,25 @@
 //                      still-queued jobs with ok=false in deterministic
 //                      (priority, then FIFO) order; idempotent, run by ~
 //
+// Execution: a worker runs exactly one attempt (or, for a preemptible job,
+// one slice) per dequeue. The job then either settles — one funnel does the
+// executed-job accounting, the latency sample, the memo-aware fulfil and the
+// drain bookkeeping — or is requeued into the queue of its kind: a yield is
+// ready at once, a retry once its backoff has passed, a failover hop at
+// once on the classical-cpu pool. No worker waits out a backoff; it serves
+// the queue meanwhile. Cancellation and deadlines are checked at every
+// dequeue, so between attempts and slices too.
+//
 // Resilient execution (DESIGN.md §10): each attempt may be vetoed by the
 // worker's deterministic fault injector (core::FaultyAccelerator — wired
 // automatically when REBOOTING_FAULTS=<plan.json> is set) or refused by the
 // worker's circuit breaker (breaker.h). Failed attempts retry with
 // exponential backoff and deterministic jitter under the job's RetryPolicy,
-// honoring its deadline and retry budget; jobs that opted into cpu_fallback
-// fail over once to the classical-cpu pool when their replica's breaker is
-// open or their attempts are exhausted. Results carry attempt counts, a
-// fault log, and a `degraded` flag instead of a silent ok=false.
+// honoring its deadline and retry budget; a retry may run on any replica of
+// the pool. Jobs that opted into cpu_fallback fail over once to the
+// classical-cpu pool when their replica's breaker is open or their attempts
+// are exhausted. Results carry attempt counts, a fault log, and a
+// `degraded` flag instead of a silent ok=false.
 //
 // Telemetry (when enabled): a `sched.<kind>` span around every payload
 // attempt (engine spans opened inside the payload nest under it), executed-
@@ -45,6 +55,7 @@
 // cancellation show up as instant markers.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -163,7 +174,7 @@ class Scheduler {
   /// repeatedly; each invocation is one time slice. When it returns a
   /// JobResult the job completes; when it returns std::nullopt ("yielded at
   /// a checkpoint", signalled through the YieldProbe once a higher-priority
-  /// job is queued on this pool) the remainder is re-enqueued with its
+  /// job is queued on this pool) the remainder is requeued with its
   /// original submission seq — so it resumes at the front of its priority
   /// class — and the worker turns to the queue. Preemptible jobs bypass the
   /// retry/fault/breaker machinery: a slice is cheap to re-run from its own
@@ -180,14 +191,17 @@ class Scheduler {
   std::vector<std::future<core::JobResult>> submit_batch(
       std::vector<core::Job> jobs, JobOptions opts = {});
 
-  /// Blocks until every accepted job has completed (all queues empty, all
-  /// workers idle). The scheduler continues accepting work afterwards —
-  /// drain is a barrier, not an end-of-life.
+  /// Blocks until every accepted job has completed (its future is ready).
+  /// The scheduler continues accepting work afterwards — drain is a
+  /// barrier, not an end-of-life.
   void drain();
 
-  /// Stops accepting submissions, closes all queues, joins the workers
-  /// (in-flight jobs finish normally), then completes every still-queued job
-  /// with ok=false in queue (priority, then FIFO) order. Idempotent.
+  /// Stops accepting submissions, closes all queues, joins the workers (an
+  /// in-flight attempt or slice finishes; a job it would requeue settles
+  /// kFlushed instead), then completes every still-queued job — including
+  /// retries waiting out a backoff — with ok=false (kFlushed, keeping its
+  /// attempts and fault log) in queue (priority, then FIFO) order.
+  /// Idempotent.
   void shutdown();
 
   /// False once shutdown() has begun.
@@ -232,66 +246,59 @@ class Scheduler {
          BackpressurePolicy policy);
   };
 
-  /// How one popped job left a worker.
-  enum class Verdict {
-    kCompleted,   ///< promise fulfilled with a JobResult
-    kThrew,       ///< promise holds the payload's exception
-    kFailedOver,  ///< job re-queued on (or completed by) the fallback pool
-    kYielded,     ///< preempted mid-job; remainder re-queued (or completed)
-  };
-
   Pool* find_pool(core::AcceleratorKind kind) const;
+  /// The pool of `kind`, or nullptr; lock-free, so worker-side paths never
+  /// wait on pools_mutex_.
+  Pool* pool_of(core::AcceleratorKind kind) const;
   static PoolStats snapshot_pool(const Pool& pool);
   /// Shared tail of submit/submit_preemptible: assign seq, push, handle
   /// backpressure verdicts.
   std::future<core::JobResult> enqueue(QueuedJob item, Pool* pool);
   void worker_loop(Pool& pool, core::Accelerator& replica, Worker& state,
                    std::size_t replica_index);
-  /// Executes one dequeued job on this worker. `source` is the queue the job
-  /// was popped or stolen from (and owed a task_done by the caller); a
-  /// preempted remainder is re-enqueued there.
+  /// Runs one attempt or one slice of a dequeued job on this worker, which
+  /// ends in settle() or requeue(). `source` is the queue the job was popped
+  /// or stolen from (and owed a task_done by the caller).
   void execute(Pool& pool, BoundedJobQueue& source, core::Accelerator& replica,
                core::Accelerator& target, core::FaultyAccelerator* faulty,
                Worker& state, QueuedJob item);
-  /// One time slice of a preemptible job (no retry/fault machinery; see
-  /// submit_preemptible).
-  Verdict run_slice(Pool& pool, BoundedJobQueue& source,
-                    core::Accelerator& replica, core::Accelerator& target,
-                    QueuedJob& item, core::JobResult& out);
+  /// One time slice of a preemptible job (no retry/fault/breaker machinery;
+  /// see submit_preemptible).
+  void run_slice(Pool& pool, BoundedJobQueue& source,
+                 core::Accelerator& replica, core::Accelerator& target,
+                 QueuedJob& item);
+  /// One attempt under the job's RetryPolicy, breaker and fault injector;
+  /// a failed attempt is retried, failed over or given up on.
+  void run_attempt(Pool& pool, core::Accelerator& replica,
+                   core::Accelerator& target, core::FaultyAccelerator* faulty,
+                   Worker& state, QueuedJob& item);
   /// Picks the deepest other pool's queue and steals its best stealable job.
-  /// Uses try_lock on the pool map so a stealing worker can never deadlock
-  /// against shutdown() (which joins workers while holding the map lock).
   std::optional<QueuedJob> steal_from_other_pool(const Pool& thief,
                                                  BoundedJobQueue*& source);
-  /// The per-job retry/breaker/failover loop around payload execution.
-  Verdict run_attempts(Pool& pool, core::Accelerator& replica,
-                       core::Accelerator& target,
-                       core::FaultyAccelerator* faulty, Worker& state,
-                       QueuedJob& item, core::JobResult& out);
-  bool failover_eligible(const RetryPolicy& retry, const QueuedJob& item,
-                         const Pool& pool) const;
-  /// Re-homes a job onto the classical-cpu pool, carrying its attempt count
-  /// and fault log. The job's promise is either queued along with it or, if
-  /// the fallback queue refuses, completed here — never abandoned.
-  Verdict failover(QueuedJob&& item, std::uint64_t attempts,
-                   std::vector<std::string>&& fault_log);
+  /// Puts `item` back into the queue of item.kind, dequeueable from
+  /// `ready_at` on; a closed queue settles it kFlushed instead.
+  void requeue(QueuedJob&& item, Clock::time_point ready_at);
+  /// The one way a dequeued job completes: stamps the attempt bookkeeping on
+  /// `result`, does the executed-job accounting for `pool`, records
+  /// sched.latency_seconds from submission, ends the job's flow, and
+  /// fulfills its promise (with `thrown`, when set).
+  void settle(const Pool& pool, QueuedJob& item, core::JobResult result,
+              std::exception_ptr thrown = nullptr);
   Clock::duration backoff_delay(const RetryPolicy& retry, std::size_t attempt,
                                 std::uint64_t seq) const;
-  /// Completes a job that will never run (shed / flushed / closed race).
+  /// Completes a job that will not run again (shed / rejected / flushed).
   void complete_unrun(QueuedJob&& item, const std::string& why,
                       const char* metric, core::JobDisposition disposition);
   void track_accept();
   void track_complete();
 
   // --- memoization (DESIGN.md §14) ----------------------------------------
-  /// The single funnel for fulfilling a job's promise with a result: settles
-  /// the job's memo flight (if it leads one) before completing, so riders
-  /// can never outlive their leader. Every promise-with-value site goes
-  /// through here.
-  void fulfill(QueuedJob& item, core::JobResult&& result);
-  /// Same funnel for the exception outcome: riders receive the exception
-  /// their leader's payload threw.
-  void fulfill_exception(QueuedJob& item, std::exception_ptr thrown);
+  /// The single funnel for fulfilling a job's promise, with `result` or,
+  /// when set, the exception `thrown`: settles the job's memo flight (if it
+  /// leads one) before completing, so riders can never outlive their
+  /// leader, and receive the same outcome.
+  void fulfill(QueuedJob& item, core::JobResult&& result,
+               std::exception_ptr thrown = nullptr);
   /// Removes the flight from the registry (no rider can attach afterwards),
   /// caches an ok + actually-executed result, and fans the outcome out to
   /// every rider — honoring each rider's own cancel/deadline at delivery.
@@ -336,6 +343,12 @@ class Scheduler {
 
   mutable std::mutex pools_mutex_;  ///< guards the map shape, not the pools
   std::map<core::AcceleratorKind, std::unique_ptr<Pool>> pools_;
+  /// pools_ indexed by kind (AcceleratorKind is a dense enum ending at
+  /// kMemcomputing), each slot published once by add_pool and read by
+  /// pool_of without the lock.
+  std::array<std::atomic<Pool*>,
+             static_cast<std::size_t>(core::AcceleratorKind::kMemcomputing) + 1>
+      by_kind_{};
 };
 
 }  // namespace rebooting::sched

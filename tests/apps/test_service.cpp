@@ -74,6 +74,72 @@ TEST(Service, SubmitExecutesAndReportsMetrics) {
   EXPECT_GT(resp->wall_seconds, 0.0);
 }
 
+net::Request submit_work(std::uint64_t id, std::string work,
+                         core::JsonValue params = {}) {
+  net::Request req;
+  req.id = id;
+  req.method = "submit";
+  req.work = std::move(work);
+  req.params = std::move(params);
+  return req;
+}
+
+// rebootd's remaining workloads, each from the decoded request to the reply
+// frame on a one-worker daemon: `sat` runs the DMM solve, while `fail` and
+// `throw` are the wire's only path through the retry policy rebootd puts on
+// every job (ServerConfig::retry_attempts = 3, cpu_fallback on).
+TEST(Service, SatWorkloadSolvesAndReportsItsSteps) {
+  ServerConfig config;
+  config.cpu_workers = 1;
+  Server server(config);
+  ASSERT_TRUE(server.start());
+  rebootctl::Client client = connect_client(server);
+
+  const auto resp = client.call(submit_work(
+      1, "sat",
+      core::JsonValue::make_object(
+          {{"vars", core::JsonValue::make_number(20)},
+           {"clauses", core::JsonValue::make_number(80)},
+           {"seed", core::JsonValue::make_number(3)}})));
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_EQ(resp->status, net::Status::kOk);
+  EXPECT_EQ(resp->summary, "sat: satisfied in 86 steps");
+  EXPECT_EQ(resp->attempts, 1u);
+  EXPECT_DOUBLE_EQ(resp->metrics.at("work.sat_satisfied"), 1.0);
+  EXPECT_DOUBLE_EQ(resp->metrics.at("work.sat_steps"), 86.0);
+}
+
+TEST(Service, FailWorkloadRetriesThenReportsFailed) {
+  ServerConfig config;
+  config.cpu_workers = 1;
+  Server server(config);
+  ASSERT_TRUE(server.start());
+  rebootctl::Client client = connect_client(server);
+
+  const auto resp = client.call(submit_work(2, "fail"));
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_EQ(resp->status, net::Status::kFailed);
+  EXPECT_EQ(resp->summary, "fail: workload reported failure");
+  EXPECT_EQ(resp->attempts, 3u);
+}
+
+TEST(Service, ThrowWorkloadRepliesWithATypedError) {
+  ServerConfig config;
+  config.cpu_workers = 1;
+  Server server(config);
+  ASSERT_TRUE(server.start());
+  rebootctl::Client client = connect_client(server);
+
+  const auto resp = client.call(submit_work(3, "throw"));
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_EQ(resp->status, net::Status::kError);
+  EXPECT_EQ(resp->summary, "throw: workload threw");
+  // The connection outlives the exception.
+  const auto after = client.call(submit_spin(4, 10.0));
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(after->status, net::Status::kOk);
+}
+
 TEST(Service, TypedRejectionsForBadRequests) {
   ServerConfig config;
   config.cpu_workers = 1;

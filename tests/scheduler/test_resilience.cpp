@@ -10,10 +10,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <future>
+#include <latch>
+#include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/faults.h"
@@ -261,6 +266,121 @@ TEST(Retry, CancellationBetweenAttemptsStopsTheJob) {
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.summary.find("cancelled"), std::string::npos);
   EXPECT_LT(calls.load(), 5);
+}
+
+TEST(Retry, BackoffLeavesTheWorkerToOtherJobs) {
+  Scheduler scheduler;
+  scheduler.add_pool(AcceleratorKind::kClassicalCpu, 1,
+                     core::CpuAccelerator::factory());
+  std::latch first_attempt{1};
+  std::latch other_submitted{1};
+  std::mutex mutex;
+  std::vector<std::string> order;
+  const auto log = [&](const char* what) {
+    std::lock_guard lock(mutex);
+    order.emplace_back(what);
+  };
+  JobOptions opts;
+  opts.retry.max_attempts = 2;
+  opts.retry.initial_backoff = 50ms;
+  std::atomic<int> calls{0};
+  auto failing = scheduler.submit(cpu_job("failing",
+                                          [&] {
+                                            log("failing");
+                                            if (calls++ == 0) {
+                                              first_attempt.count_down();
+                                              other_submitted.wait();
+                                            }
+                                            return bad_result("glitch");
+                                          }),
+                                  opts);
+  first_attempt.wait();
+  // Equal priority, submitted while the first attempt runs: it is ready
+  // while the failing job waits out its 50 ms backoff, so it goes first.
+  auto other = scheduler.submit(cpu_job("other", [&] {
+    log("other");
+    return ok_result();
+  }));
+  other_submitted.count_down();
+  EXPECT_TRUE(other.get().ok);
+  const auto r = failing.get();
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.attempts, 2u);
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"failing", "other", "failing"}));
+}
+
+TEST(Retry, FailoverCarriesTheLastFailureAndServiceTime) {
+  Scheduler scheduler;
+  scheduler.add_pool(AcceleratorKind::kMemcomputing, 1,
+                     memcomputing::MemcomputingAccelerator::factory());
+  // Every CPU attempt faults before the payload runs, so the only payload
+  // result the job ever produces is its device attempt's.
+  scheduler.add_pool(
+      AcceleratorKind::kClassicalCpu, 1,
+      FaultyAccelerator::wrap(
+          core::CpuAccelerator::factory(),
+          transient_plan(AcceleratorKind::kClassicalCpu, 5, 1.0)));
+  JobOptions opts;
+  opts.retry.cpu_fallback = true;
+  const auto r = scheduler
+                     .submit("hop", AcceleratorKind::kMemcomputing,
+                             [](core::Accelerator&) {
+                               std::this_thread::sleep_for(20ms);
+                               return bad_result("device says no");
+                             },
+                             opts)
+                     .get();
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.summary, "device says no");  // verbatim across the hop
+  EXPECT_EQ(r.attempts, 2u);
+  EXPECT_GE(r.wall_seconds, 0.015);  // the device attempt's service time
+  ASSERT_EQ(r.fault_log.size(), 3u);
+  EXPECT_NE(r.fault_log[1].find("failing over"), std::string::npos);
+  EXPECT_NE(r.fault_log[2].find("attempt 2: injected transient"),
+            std::string::npos);
+}
+
+TEST(Retry, FailoverBypassesTheFallbackQueuesBackpressure) {
+  std::latch entered{1};
+  std::latch gate{1};
+  Scheduler scheduler(
+      {.queue_capacity = 1, .backpressure = BackpressurePolicy::kReject});
+  scheduler.add_pool(AcceleratorKind::kMemcomputing, 1,
+                     memcomputing::MemcomputingAccelerator::factory());
+  scheduler.add_pool(AcceleratorKind::kClassicalCpu, 1,
+                     core::CpuAccelerator::factory());
+  // Wedge the CPU worker, then fill its one-slot queue.
+  auto blocker = scheduler.submit(cpu_job("blocker", [&] {
+    entered.count_down();
+    gate.wait();
+    return ok_result();
+  }));
+  entered.wait();
+  auto filler = scheduler.submit(cpu_job("filler", [] { return ok_result(); }));
+  JobOptions opts;
+  opts.retry.cpu_fallback = true;
+  auto hop = scheduler.submit(
+      "hop", AcceleratorKind::kMemcomputing,
+      [](core::Accelerator& acc) {
+        return acc.kind() == AcceleratorKind::kMemcomputing
+                   ? bad_result("device")
+                   : ok_result("on cpu");
+      },
+      opts);
+  // Admission happened at submit; the hop joins the full CPU queue anyway.
+  for (int i = 0; i < 2000 && !ready(hop) &&
+                  scheduler.queue_depth(AcceleratorKind::kClassicalCpu) < 2;
+       ++i)
+    std::this_thread::sleep_for(1ms);
+  gate.count_down();
+  const auto r = hop.get();
+  EXPECT_TRUE(r.ok) << r.summary;
+  EXPECT_EQ(r.summary, "on cpu");
+  EXPECT_TRUE(r.degraded);
+  EXPECT_EQ(r.attempts, 2u);
+  EXPECT_TRUE(filler.get().ok);
+  EXPECT_TRUE(blocker.get().ok);
 }
 
 // --------------------------------------------------------- fault storms ----
@@ -597,6 +717,74 @@ TEST(Lifecycle, DestructorUnderStormNeverAbandonsFutures) {
     // No drain, no shutdown: the destructor handles the live storm.
   }
   for (auto& f : futures) EXPECT_TRUE(ready(f));
+}
+
+TEST(Lifecycle, ShutdownFlushesAJobWaitingOutItsBackoff) {
+  Scheduler scheduler;
+  scheduler.add_pool(AcceleratorKind::kClassicalCpu, 1,
+                     core::CpuAccelerator::factory());
+  JobOptions opts;
+  opts.retry.max_attempts = 2;
+  opts.retry.initial_backoff = 2s;
+  opts.retry.max_backoff = 2s;
+  std::atomic<int> calls{0};
+  auto f = scheduler.submit(cpu_job("backing-off",
+                                    [&] {
+                                      ++calls;
+                                      return bad_result("glitch");
+                                    }),
+                            opts);
+  // The failed first attempt puts the job back in the queue for 2 s.
+  while (calls.load() == 0 ||
+         scheduler.stats(AcceleratorKind::kClassicalCpu).in_flight != 0)
+    std::this_thread::sleep_for(1ms);
+  const auto start = Clock::now();
+  scheduler.shutdown();
+  EXPECT_LT(Clock::now() - start, 1s) << "shutdown waited out the backoff";
+  const auto r = f.get();
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.disposition, core::JobDisposition::kFlushed);
+  EXPECT_EQ(r.attempts, 1u);
+  ASSERT_EQ(r.fault_log.size(), 1u);
+  EXPECT_NE(r.fault_log[0].find("attempt 1: payload failed: glitch"),
+            std::string::npos);
+  EXPECT_EQ(calls.load(), 1);
+}
+
+TEST(Lifecycle, ShutdownWhileAFallbackJobFailsDoesNotDeadlock) {
+  Scheduler scheduler;
+  scheduler.add_pool(AcceleratorKind::kMemcomputing, 1,
+                     memcomputing::MemcomputingAccelerator::factory());
+  scheduler.add_pool(AcceleratorKind::kClassicalCpu, 1,
+                     core::CpuAccelerator::factory());
+  std::latch entered{1};
+  JobOptions opts;
+  opts.retry.cpu_fallback = true;
+  // The device attempt fails once shutdown() is joining the workers, so
+  // the job's failover to the CPU pool races the join.
+  auto f = scheduler.submit(
+      "fails-during-shutdown", AcceleratorKind::kMemcomputing,
+      [&](core::Accelerator&) {
+        entered.count_down();
+        while (scheduler.accepting()) std::this_thread::sleep_for(1ms);
+        std::this_thread::sleep_for(80ms);
+        return bad_result("device");
+      },
+      opts);
+  entered.wait();
+  std::promise<void> returned;
+  std::thread watchdog([done = returned.get_future()] {
+    if (done.wait_for(5s) != std::future_status::ready) {
+      std::fprintf(stderr, "watchdog: shutdown() deadlocked\n");
+      std::abort();
+    }
+  });
+  scheduler.shutdown();
+  returned.set_value();
+  watchdog.join();
+  const auto r = f.get();
+  EXPECT_EQ(r.disposition, core::JobDisposition::kFlushed);
+  EXPECT_EQ(r.attempts, 1u);
 }
 
 // ------------------------------------------------------------ telemetry ----

@@ -487,6 +487,34 @@ TEST(SchedulerTelemetry, CountersGaugesAndHistogramsAreWired) {
   telemetry::Telemetry::set_enabled(false);
 }
 
+TEST(SchedulerTelemetry, LatencySpansEveryYieldOfASlicedJob) {
+  telemetry::Telemetry::set_enabled(true);
+  telemetry::Telemetry::instance().reset();
+  {
+    Scheduler scheduler({.queue_capacity = 16});
+    scheduler.add_pool(AcceleratorKind::kClassicalCpu, 1,
+                       core::CpuAccelerator::factory());
+    // Four 10 ms slices, three of them ending in a yield: latency is the
+    // whole job from submit, not the last slice after its re-enqueue.
+    auto slices = std::make_shared<std::atomic<int>>(0);
+    auto job = scheduler.submit_preemptible(
+        "sliced", AcceleratorKind::kClassicalCpu,
+        [slices](core::Accelerator&,
+                 const YieldProbe&) -> std::optional<core::JobResult> {
+          std::this_thread::sleep_for(10ms);
+          if (slices->fetch_add(1) < 3) return std::nullopt;
+          return ok_result();
+        });
+    EXPECT_TRUE(job.get().ok);
+  }
+  const auto& metrics = telemetry::Telemetry::instance().metrics();
+  const auto latency = metrics.histogram("sched.latency_seconds");
+  EXPECT_EQ(latency.count, 1u);
+  EXPECT_GE(latency.max, 0.030);
+  telemetry::Telemetry::instance().reset();
+  telemetry::Telemetry::set_enabled(false);
+}
+
 // The satellite-mandated stress test: >= 4 producer threads, >= 1000 jobs,
 // through a small bounded queue with blocking backpressure and 4 workers.
 // Run under REBOOTING_SANITIZE=thread this exercises every lock and atomic
