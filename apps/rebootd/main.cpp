@@ -31,7 +31,8 @@ void on_signal(int) { g_stop.store(true); }
                "          [--retries N] [--engines]\n"
                "          [--quota-rate F --quota-burst F]\n"
                "Port 0 (default) picks an ephemeral port; the bound port is\n"
-               "printed on stdout as 'rebootd listening on HOST:PORT'.\n",
+               "printed on stdout as 'rebootd listening on HOST:PORT'.\n"
+               "Each worker thread is pinned to its own CPU.\n",
                argv0);
   std::exit(2);
 }
@@ -47,6 +48,7 @@ int main(int argc, char** argv) {
   using namespace rebooting;
 
   rebootd::ServerConfig config;
+  config.pin_workers = true;  // the daemon owns its host
   bool engines = false;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];

@@ -24,6 +24,7 @@ sched::SchedulerConfig scheduler_config(const ServerConfig& config) {
   // Every rebootd workload is self-contained (cpu_fallback is uniformly on),
   // so jobs are marked stealable and idle pools may drain overloaded ones.
   sc.work_stealing = true;
+  sc.pin_workers = config.pin_workers;
   return sc;
 }
 

@@ -64,6 +64,10 @@ struct ServerConfig {
   /// same wire status).
   std::size_t admission_high_water = 0;
   std::size_t pump_threads = 2;
+  /// Pin each scheduler worker to its own CPU (SchedulerConfig::pin_workers).
+  /// Off for an embedded server, which shares its process; the rebootd
+  /// binary, which owns its host, turns it on.
+  bool pin_workers = false;
   std::size_t max_frame_bytes = net::kMaxFrameBytes;
   /// RetryPolicy for submitted workloads; all workloads are self-contained,
   /// so cpu_fallback is always enabled.

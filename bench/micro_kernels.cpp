@@ -61,25 +61,46 @@ void BM_StateVectorCz(benchmark::State& state) {
 }
 BENCHMARK(BM_StateVectorCz)->Arg(10)->Arg(16)->Arg(20);
 
+// The DMM step: one sweep over every clause plus the Euler update. Items are
+// clause-steps (steps x clauses), the unit of perfbench's
+// dmm.ns_per_clause_step, so items/s inverts to ns per clause-step.
+void run_dmm_bench(benchmark::State& state, const memcomputing::Cnf& cnf,
+                   const memcomputing::DmmOptions& opts) {
+  const memcomputing::DmmSolver solver(cnf, opts);
+  std::int64_t clause_steps = 0;
+  for (auto _ : state) {
+    core::Rng r(7);
+    const auto result = solver.solve(r);
+    clause_steps += static_cast<std::int64_t>(result.steps * cnf.num_clauses());
+    benchmark::DoNotOptimize(result.steps);
+  }
+  state.SetItemsProcessed(clause_steps);
+}
+
+// Planted 3-SAT at ratio 4.25; a run may solve before its 200-step budget,
+// so the steps actually taken are counted.
 void BM_DmmStep(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   core::Rng rng(1);
   const auto inst = memcomputing::planted_ksat(
       rng, n, static_cast<std::size_t>(4.25 * static_cast<double>(n)), 3);
-  // Time a bounded solve; steps/op reported via items processed. The solver
-  // may terminate (solution found) before max_steps, so count actual steps.
-  std::int64_t total_steps = 0;
-  for (auto _ : state) {
-    memcomputing::DmmOptions opts;
-    opts.max_steps = 200;
-    core::Rng r(7);
-    auto result = memcomputing::DmmSolver(inst.cnf, opts).solve(r);
-    total_steps += static_cast<std::int64_t>(result.steps);
-    benchmark::DoNotOptimize(result.steps);
-  }
-  state.SetItemsProcessed(total_steps);
+  memcomputing::DmmOptions opts;
+  opts.max_steps = 200;
+  run_dmm_bench(state, inst.cnf, opts);
 }
 BENCHMARK(BM_DmmStep)->Arg(50)->Arg(200);
+
+// rebootd's `sat` shape (random 3-SAT, 50 vars, 200 clauses). maxsat_mode
+// never stops early, so every iteration runs the same 2,000 steps.
+void BM_DmmStepRebootd(benchmark::State& state) {
+  core::Rng rng(1001);
+  const auto cnf = memcomputing::random_ksat(rng, 50, 200, 3);
+  memcomputing::DmmOptions opts;
+  opts.max_steps = 2000;
+  opts.maxsat_mode = true;
+  run_dmm_bench(state, cnf, opts);
+}
+BENCHMARK(BM_DmmStepRebootd);
 
 void BM_OscillatorNetworkStep(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 #include "telemetry/telemetry.h"
@@ -10,37 +11,50 @@
 namespace rebooting::memcomputing {
 
 DmmSolver::DmmSolver(const Cnf& cnf, DmmOptions options)
-    : cnf_(cnf), opts_(options) {
+    : num_variables_(cnf.num_variables()), opts_(options) {
   if (cnf.num_variables() == 0 || cnf.num_clauses() == 0)
     throw std::invalid_argument("DmmSolver: empty formula");
-  clauses_.reserve(cnf.num_clauses());
+  first_.push_back(0);
   for (const Clause& c : cnf.clauses()) {
-    ClauseData d;
-    d.weight = c.weight;
-    d.vars.reserve(c.literals.size());
-    d.q.reserve(c.literals.size());
     for (const Literal lit : c.literals) {
-      d.vars.push_back(static_cast<std::size_t>(std::abs(lit)) - 1);
-      d.q.push_back(lit > 0 ? 1.0 : -1.0);
+      var_.push_back(static_cast<std::uint32_t>(std::abs(lit)) - 1);
+      q_.push_back(lit > 0 ? 1.0 : -1.0);
     }
-    clauses_.push_back(std::move(d));
+    if (var_.size() > std::numeric_limits<std::uint32_t>::max())
+      throw std::invalid_argument("DmmSolver: over 2^32 - 1 literals");
+    first_.push_back(static_cast<std::uint32_t>(var_.size()));
+    weight_.push_back(c.weight);
+    all_width3_ = all_width3_ && c.literals.size() == 3;
   }
 }
+
+namespace {
+
+// Two clauses per vector: SSE2 on x86-64, NEON on AArch64 (GCC and Clang
+// vector extensions, no flag). Each lane is plain IEEE double arithmetic,
+// so it computes bit for bit what the same scalar expression does.
+using Vec2 = Real __attribute__((vector_size(2 * sizeof(Real))));
+
+/// Lane-wise `a < b ? a : b`.
+inline Vec2 vmin(Vec2 a, Vec2 b) { return a < b ? a : b; }
+
+}  // namespace
 
 // Static-dispatch dynamics kernel over the packed state y = [v | xs | xl]
 // (n voltages, then m fast memories, then m slow memories). rhs() is the one
 // clause sweep of Eqs. 1-2: it fills dydt with (dv, dxs, dxl) and leaves the
-// summed clause unsatisfaction in clause_energy for the energy traces. The
-// solve loop calls it directly (no std::function), so the compiler inlines
-// the sweep into the stepping loop.
+// summed clause unsatisfaction in clause_energy for the energy traces. Every
+// dv sum adds its terms in clause order, then literal order, and every term
+// keeps the operation order of Eqs. 1-2 as written below, so the sweep is
+// bit-identical however it is vectorized (DESIGN.md §16). The solve loop
+// calls it directly (no std::function), so it inlines into the step loop.
 struct DmmSolver::Kernel {
   const DmmSolver& solver;
   Real clause_energy = 0.0;
 
   void rhs(Real /*t*/, std::span<const Real> y, std::span<Real> dydt) {
-    const std::size_t n = solver.cnf_.num_variables();
-    const std::size_t m = solver.clauses_.size();
-    const DmmParams& p = solver.opts_.params;
+    const std::size_t n = solver.num_variables_;
+    const std::size_t m = solver.weight_.size();
     const auto v = y.first(n);
     const auto xs = y.subspan(n, m);
     const auto xl = y.subspan(n + m, m);
@@ -49,48 +63,142 @@ struct DmmSolver::Kernel {
     const auto dxl = dydt.subspan(n + m, m);
 
     std::fill(dv.begin(), dv.end(), 0.0);
-    clause_energy = 0.0;
-    for (std::size_t cm = 0; cm < m; ++cm) {
-      const ClauseData& c = solver.clauses_[cm];
-      const std::size_t k = c.vars.size();
+    if (solver.all_width3_)
+      sweep3(v, xs, xl, dv, dxs, dxl);
+    else
+      sweep_any(v, xs, xl, dv, dxs, dxl);
+  }
 
-      // Smallest and second-smallest (1 - q v) over the clause's literals.
+ private:
+  // Any clause widths, one clause at a time. With s_i = 1 - q_i v_i,
+  // min1/min2 are the smallest and second-smallest s (2.0 when absent) and
+  // arg1 the first literal that attains min1: the gradient term of literal
+  // i takes the minimum over the *other* literals (min2 for arg1, min1 for
+  // the rest), and rigidity holds the critical literal arg1 alone.
+  void sweep_any(std::span<const Real> v, std::span<const Real> xs,
+                 std::span<const Real> xl, std::span<Real> dv,
+                 std::span<Real> dxs, std::span<Real> dxl) {
+    const DmmParams p = solver.opts_.params;  // a copy no store can alias
+    const std::uint32_t* first = solver.first_.data();
+    const std::uint32_t* var = solver.var_.data();
+    const Real* q = solver.q_.data();
+    const Real* w = solver.weight_.data();
+    Real energy = 0.0;
+    for (std::size_t c = 0; c < xs.size(); ++c) {
       Real min1 = 2.0, min2 = 2.0;
-      std::size_t arg1 = 0;
-      for (std::size_t i = 0; i < k; ++i) {
-        const Real s = 1.0 - c.q[i] * v[c.vars[i]];
-        if (s < min1) {
-          min2 = min1;
-          min1 = s;
-          arg1 = i;
-        } else if (s < min2) {
-          min2 = s;
-        }
+      std::uint32_t arg1 = first[c];
+      for (std::uint32_t l = first[c]; l < first[c + 1]; ++l) {
+        const Real s = 1.0 - q[l] * v[var[l]];
+        const bool below1 = s < min1;
+        min2 = below1 ? min1 : (s < min2 ? s : min2);
+        min1 = below1 ? s : min1;
+        arg1 = below1 ? l : arg1;
       }
-      const Real cmeas = 0.5 * min1;  // C_m in [0, 1]
-      clause_energy += cmeas;
+      const Real cm = 0.5 * min1;  // C_m in [0, 1]
+      energy += cm;
 
-      const Real gate_g = xl[cm] * xs[cm];
-      const Real gate_r = (1.0 + p.zeta * xl[cm]) * (1.0 - xs[cm]);
-      for (std::size_t i = 0; i < k; ++i) {
-        const std::size_t var = c.vars[i];
-        // Gradient-like term: push literal i toward satisfaction, scaled by
-        // how far the *other* literals are from satisfying the clause.
-        const Real min_excl = (i == arg1) ? min2 : min1;
-        const Real g_term = 0.5 * c.q[i] * min_excl;
-        Real r_term = 0.0;
-        if (p.rigidity && i == arg1) {
-          // Rigidity holds the critical literal at its target.
-          r_term = 0.5 * (c.q[i] - v[var]);
-        }
-        dv[var] += c.weight * (gate_g * g_term + gate_r * r_term);
+      const Real gate_g = xl[c] * xs[c];
+      const Real gate_r = (1.0 + p.zeta * xl[c]) * (1.0 - xs[c]);
+      const Real weight = w[c];
+      for (std::uint32_t l = first[c]; l < first[c + 1]; ++l) {
+        const bool critical = l == arg1;
+        const Real g_term = 0.5 * q[l] * (critical ? min2 : min1);
+        const Real r_term =
+            p.rigidity && critical ? 0.5 * (q[l] - v[var[l]]) : 0.0;
+        dv[var[l]] += weight * (gate_g * g_term + gate_r * r_term);
       }
-
-      dxs[cm] = p.beta * (xs[cm] + p.epsilon) * (cmeas - p.gamma);
-      dxl[cm] = p.long_term_memory ? p.alpha * (cmeas - p.delta) : 0.0;
+      dxs[c] = p.beta * (xs[c] + p.epsilon) * (cm - p.gamma);
+      dxl[c] = p.long_term_memory ? p.alpha * (cm - p.delta) : 0.0;
     }
+    clause_energy = energy;
+  }
+
+  // All-3-literal formulas, two clauses per vector. A vector pass with no
+  // data-dependent branch computes both clauses' terms; a scalar pass then
+  // adds them into dv in clause order, then literal order. For s0, s1, s2
+  // the minimum over the other literals is ex_i = min(s_j, s_k, 2), and the
+  // critical literal is 0 when min(s0, 2) <= min(s1, s2), else 1 when
+  // s1 < min(s0, 2) and s1 <= s2, else 2: the values and the pick of
+  // sweep_any, from compares instead of jumps.
+  void sweep3(std::span<const Real> v, std::span<const Real> xs,
+              std::span<const Real> xl, std::span<Real> dv,
+              std::span<Real> dxs, std::span<Real> dxl) {
+    const DmmParams p = solver.opts_.params;  // a copy no store can alias
+    const std::uint32_t* var = solver.var_.data();
+    const Real* q = solver.q_.data();
+    const Real* w = solver.weight_.data();
+    const Vec2 two = {2.0, 2.0};
+    const std::size_t m = xs.size();
+    Real energy = 0.0;
+    for (std::size_t c = 0; c < m; c += 2) {
+      // Clause c in lane 0, clause d in lane 1. An odd last clause fills
+      // both lanes, and only lane 0 is kept.
+      const bool pair = c + 1 < m;
+      const std::size_t d = pair ? c + 1 : c;
+      const std::size_t a = 3 * c, b = 3 * d;
+      const Vec2 q0 = {q[a], q[b]}, q1 = {q[a + 1], q[b + 1]},
+                 q2 = {q[a + 2], q[b + 2]};
+      const Vec2 v0 = {v[var[a]], v[var[b]]},
+                 v1 = {v[var[a + 1]], v[var[b + 1]]},
+                 v2 = {v[var[a + 2]], v[var[b + 2]]};
+      const Vec2 s0 = 1.0 - q0 * v0, s1 = 1.0 - q1 * v1, s2 = 1.0 - q2 * v2;
+
+      const Vec2 a0 = vmin(s0, two);  // running minimum after literal 0
+      const Vec2 m12 = vmin(s1, s2);
+      const Vec2 ex0 = vmin(m12, two), ex1 = vmin(a0, s2), ex2 = vmin(a0, s1);
+      const Vec2 cm = 0.5 * vmin(a0, m12);  // C_m = min1 / 2
+
+      const Vec2 xsv = {xs[c], xs[d]}, xlv = {xl[c], xl[d]}, wv = {w[c], w[d]};
+      const Vec2 gate_g = xlv * xsv;
+      const Vec2 gate_r = (1.0 + p.zeta * xlv) * (1.0 - xsv);
+      Vec2 r0 = {}, r1 = {}, r2 = {};
+      if (p.rigidity) {
+        r0 = a0 <= m12 ? 0.5 * (q0 - v0) : r0;
+        r1 = (s1 < a0) & (s1 <= s2) ? 0.5 * (q1 - v1) : r1;
+        r2 = s2 < ex2 ? 0.5 * (q2 - v2) : r2;
+      }
+      const Vec2 t0 = wv * (gate_g * (0.5 * q0 * ex0) + gate_r * r0);
+      const Vec2 t1 = wv * (gate_g * (0.5 * q1 * ex1) + gate_r * r1);
+      const Vec2 t2 = wv * (gate_g * (0.5 * q2 * ex2) + gate_r * r2);
+      const Vec2 dxs2 = p.beta * (xsv + p.epsilon) * (cm - p.gamma);
+      const Vec2 dxl2 = p.long_term_memory ? p.alpha * (cm - p.delta) : Vec2{};
+
+      energy += cm[0];
+      dv[var[a]] += t0[0], dv[var[a + 1]] += t1[0], dv[var[a + 2]] += t2[0];
+      dxs[c] = dxs2[0], dxl[c] = dxl2[0];
+      if (pair) {
+        energy += cm[1];
+        dv[var[b]] += t0[1], dv[var[b + 1]] += t1[1], dv[var[b + 2]] += t2[1];
+        dxs[d] = dxs2[1], dxl[d] = dxl2[1];
+      }
+    }
+    clause_energy = energy;
   }
 };
+
+DmmSolver::Readout DmmSolver::readout(
+    std::span<const unsigned char> sign_bits) const {
+  // A literal holds when its variable's bit differs from its sign bit (set
+  // on a negated literal's q = -1).
+  const auto holds = [&](std::size_t l) {
+    return (sign_bits[var_[l]] != 0) != std::signbit(q_[l]);
+  };
+  Readout r;
+  for (std::size_t c = 0; c < weight_.size(); ++c) {
+    bool satisfied = false;
+    if (all_width3_) {
+      satisfied = holds(3 * c) | holds(3 * c + 1) | holds(3 * c + 2);
+    } else {
+      for (std::size_t l = first_[c]; l < first_[c + 1]; ++l)
+        satisfied |= holds(l);
+    }
+    if (!satisfied) {
+      ++r.unsatisfied;
+      r.weight += weight_[c];
+    }
+  }
+  return r;
+}
 
 namespace {
 
@@ -120,7 +228,7 @@ constexpr std::size_t kAuxTail = 3;
 }  // namespace
 
 DmmResult DmmSolver::solve(core::Rng& rng) const {
-  std::vector<Real> v0(cnf_.num_variables());
+  std::vector<Real> v0(num_variables_);
   for (Real& v : v0) v = rng.uniform(-1.0, 1.0);
   return solve_from(std::move(v0), rng);
 }
@@ -145,8 +253,8 @@ DmmResult DmmSolver::solve_from(std::vector<Real> v0, core::Rng& rng,
 
 core::Checkpoint DmmSolver::begin(std::vector<Real> v0,
                                   const core::Rng& rng) const {
-  const std::size_t n = cnf_.num_variables();
-  const std::size_t m = clauses_.size();
+  const std::size_t n = num_variables_;
+  const std::size_t m = weight_.size();
   if (v0.size() != n)
     throw std::invalid_argument("DmmSolver::begin: bad v0 size");
 
@@ -170,15 +278,13 @@ core::Checkpoint DmmSolver::begin(std::vector<Real> v0,
   // Initial digital readout, identical to the head of the classic solve: it
   // seeds best_unsatisfied / best assignment, and may finish the trajectory
   // outright when v0 already satisfies the formula.
-  Assignment a(n + 1, false);
-  for (std::size_t i = 0; i < n; ++i) a[i + 1] = v0[i] > 0.0;
-  const std::size_t unsat = cnf_.count_unsatisfied(a);
+  const Readout initial = readout(std::span(ckpt.flags).subspan(kFlagSign, n));
+  const std::size_t unsat = initial.unsatisfied;
   ckpt.counters[kCtrBestUnsat] = std::min<std::uint64_t>(m, unsat);
-  ckpt.aux[kAuxBestWeight] = opts_.maxsat_mode
-                                 ? cnf_.unsatisfied_weight(a)
-                                 : static_cast<Real>(unsat);
-  for (std::size_t i = 0; i <= n; ++i)
-    ckpt.flags[kFlagSign + n + i] = a[i] ? 1 : 0;
+  ckpt.aux[kAuxBestWeight] =
+      opts_.maxsat_mode ? initial.weight : static_cast<Real>(unsat);
+  std::copy_n(ckpt.flags.begin() + kFlagSign, n,
+              ckpt.flags.begin() + kFlagSign + n + 1);
   if (unsat == 0) {
     ckpt.flags[kFlagFinished] = 1;
     ckpt.flags[kFlagSatisfied] = 1;
@@ -190,8 +296,8 @@ core::Checkpoint DmmSolver::begin(std::vector<Real> v0,
 
 DmmResult DmmSolver::result_from_checkpoint(
     const core::Checkpoint& ckpt) const {
-  const std::size_t n = cnf_.num_variables();
-  const std::size_t m = clauses_.size();
+  const std::size_t n = num_variables_;
+  const std::size_t m = weight_.size();
   if (ckpt.tag != kDmmTag || ckpt.counters.size() < kCtrTail ||
       ckpt.counters[kCtrVars] != n || ckpt.counters[kCtrClauses] != m ||
       ckpt.flags.size() != kFlagSign + n + (n + 1) ||
@@ -227,8 +333,8 @@ DmmSliceOutcome DmmSolver::advance(core::Checkpoint& ckpt,
                                    core::Workspace& ws) const {
   TELEM_SPAN("dmm.solve");
   TELEM_TRACE_SCOPE("dmm.solve");
-  const std::size_t n = cnf_.num_variables();
-  const std::size_t m = clauses_.size();
+  const std::size_t n = num_variables_;
+  const std::size_t m = weight_.size();
   if (ckpt.tag != kDmmTag || ckpt.counters.size() < kCtrTail ||
       ckpt.counters[kCtrVars] != n || ckpt.counters[kCtrClauses] != m ||
       ckpt.flags.size() != kFlagSign + n + (n + 1) ||
@@ -292,6 +398,7 @@ DmmSliceOutcome DmmSolver::advance(core::Checkpoint& ckpt,
   Real best_weight = ckpt.aux[kAuxBestWeight];
 
   const std::size_t steps_at_entry = result.steps;
+  std::size_t evaluations = 0;
 
   // Counter dump on every return path (finished or preempted), while the
   // dmm.solve span is still open. Only this slice's step delta is added so
@@ -301,6 +408,7 @@ DmmSliceOutcome DmmSolver::advance(core::Checkpoint& ckpt,
     std::size_t entry_steps;
     const std::size_t& clamped_min;
     const std::size_t& clamped_max;
+    const std::size_t& evaluations;
     std::size_t clauses;
     ~TelemFlush() {
       if (!telemetry::Telemetry::enabled()) return;
@@ -314,25 +422,28 @@ DmmSliceOutcome DmmSolver::advance(core::Checkpoint& ckpt,
                   slice_steps * static_cast<Real>(clauses));
       metrics.add("dmm.dt_clamped_min", static_cast<Real>(clamped_min));
       metrics.add("dmm.dt_clamped_max", static_cast<Real>(clamped_max));
+      // Digital readouts: one per step on which some voltage changed sign.
+      metrics.add("dmm.evaluations", static_cast<Real>(evaluations));
       metrics.set("dmm.best_unsatisfied",
                   static_cast<Real>(result.best_unsatisfied));
     }
-  } telem_flush{result, steps_at_entry, dt_clamped_min, dt_clamped_max, m};
+  } telem_flush{result, steps_at_entry, dt_clamped_min, dt_clamped_max,
+                evaluations, m};
 
-  Assignment a(n + 1, false);
+  // The sign bits are the digital assignment: sign_bit[i] == (v[i] > 0).
   const auto evaluate_assignment = [&]() {
-    TELEM_SPAN("dmm.evaluate_assignment");
-    for (std::size_t i = 0; i < n; ++i) a[i + 1] = v[i] > 0.0;
-    const std::size_t unsat = cnf_.count_unsatisfied(a);
-    result.best_unsatisfied = std::min(result.best_unsatisfied, unsat);
-    const Real w = opts_.maxsat_mode ? cnf_.unsatisfied_weight(a)
-                                     : static_cast<Real>(unsat);
+    ++evaluations;
+    const Readout now = readout(sign_bit);
+    result.best_unsatisfied = std::min(result.best_unsatisfied, now.unsatisfied);
+    const Real w = opts_.maxsat_mode ? now.weight
+                                     : static_cast<Real>(now.unsatisfied);
     if (best_weight < 0.0 || w < best_weight) {
       best_weight = w;
-      result.assignment = a;
+      for (std::size_t i = 0; i < n; ++i)
+        result.assignment[i + 1] = sign_bit[i] != 0;
       result.steps_to_best = result.steps;
     }
-    return unsat;
+    return now.unsatisfied;
   };
 
   const Real xl_ceiling = p.xl_max * static_cast<Real>(m);
@@ -464,7 +575,7 @@ bool DmmSolver::solve_ensemble_slice(std::size_t restarts,
           // counter-based stream — bit-identical at any thread count, any
           // slicing, and across process restarts.
           core::Rng rng = core::Rng::stream(base_seed, i);
-          std::vector<Real> v0(cnf_.num_variables());
+          std::vector<Real> v0(num_variables_);
           for (Real& v : v0) v = rng.uniform(-1.0, 1.0);
           traj = begin(std::move(v0), rng);
         }

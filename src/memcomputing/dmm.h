@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/dynamics.h"
@@ -180,16 +181,25 @@ class DmmSolver {
                             DmmEnsembleResult* result = nullptr) const;
 
  private:
-  struct ClauseData {
-    std::vector<std::size_t> vars;  ///< 0-based variable indices
-    std::vector<Real> q;            ///< +1 / -1 literal signs
-    Real weight = 1.0;
-  };
   struct Kernel;  // static-dispatch RHS over packed state [v | xs | xl]
+  /// Clauses the sign bits (1 = variable true) leave unsatisfied, and their
+  /// summed weight, accumulated in clause order.
+  struct Readout {
+    std::size_t unsatisfied = 0;
+    Real weight = 0.0;
+  };
+  Readout readout(std::span<const unsigned char> sign_bits) const;
 
-  const Cnf& cnf_;
+  std::size_t num_variables_ = 0;
   DmmOptions opts_;
-  std::vector<ClauseData> clauses_;
+  // The formula in one flat clause layout (DESIGN.md §16): clause c owns
+  // literals first_[c] .. first_[c + 1] - 1, each a 0-based variable index
+  // in var_ and a sign (+1 / -1) in q_; weight_[c] is its weight.
+  std::vector<std::uint32_t> first_;
+  std::vector<std::uint32_t> var_;
+  std::vector<Real> q_;
+  std::vector<Real> weight_;
+  bool all_width3_ = true;  ///< every clause has 3 literals (vector sweep)
 };
 
 }  // namespace rebooting::memcomputing

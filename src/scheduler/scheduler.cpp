@@ -1,5 +1,10 @@
 #include "scheduler/scheduler.h"
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -41,6 +46,32 @@ std::optional<core::JobResult> cancelled_or_expired(const std::string& name,
     return result;
   }
   return std::nullopt;
+}
+
+/// Pins `thread` to the `ordinal`-th CPU (mod their count) of the calling
+/// thread's affinity mask. Best effort: a refusal leaves the thread free.
+/// `thread` must not have exited: a worker cannot, since its queue closes
+/// only in shutdown(), under the pools_mutex_ that add_pool holds.
+void pin_to_cpu(std::thread& thread, std::size_t ordinal) {
+#if defined(__linux__)
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return;
+  const auto count = static_cast<std::size_t>(CPU_COUNT(&allowed));
+  if (count == 0) return;
+  std::size_t skip = ordinal % count;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (!CPU_ISSET(cpu, &allowed) || skip-- != 0) continue;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    pthread_setaffinity_np(thread.native_handle(), sizeof(one), &one);
+    return;
+  }
+#else
+  (void)thread;
+  (void)ordinal;
+#endif
 }
 
 }  // namespace
@@ -106,10 +137,13 @@ void Scheduler::add_pool(core::AcceleratorKind kind, std::size_t workers,
         "adding it twice");
   Pool& p = *it->second;
   slot.store(&p, std::memory_order_release);
-  for (std::size_t i = 0; i < workers; ++i)
+  for (std::size_t i = 0; i < workers; ++i) {
     p.threads.emplace_back(&Scheduler::worker_loop, this, std::ref(p),
                            std::ref(*p.replicas[i]), std::ref(*p.workers[i]),
                            i);
+    if (config_.pin_workers) pin_to_cpu(p.threads.back(), workers_started_);
+    ++workers_started_;
+  }
 }
 
 Scheduler::Pool* Scheduler::pool_of(core::AcceleratorKind kind) const {

@@ -97,6 +97,13 @@ struct SchedulerConfig {
   /// How long a stealing-enabled worker waits on its own queue before
   /// looking for a victim pool.
   Clock::duration steal_poll = std::chrono::milliseconds(2);
+  /// Pin each worker thread to one CPU of the affinity mask of the thread
+  /// that calls add_pool, in start order across every pool, wrapping when
+  /// workers outnumber CPUs (Linux; elsewhere, or where the kernel refuses,
+  /// workers stay unpinned). For a process that owns its host, such as the
+  /// rebootd daemon: unpinned, a 4-vCPU VM was seen to keep two busy workers
+  /// on one vCPU for seconds while another vCPU idled (DESIGN.md §7).
+  bool pin_workers = false;
   /// Sizing of the JobOptions::memo_key result cache (DESIGN.md §14).
   core::CacheConfig memo_cache = [] {
     core::CacheConfig c;
@@ -343,6 +350,9 @@ class Scheduler {
 
   mutable std::mutex pools_mutex_;  ///< guards the map shape, not the pools
   std::map<core::AcceleratorKind, std::unique_ptr<Pool>> pools_;
+  /// Worker threads started so far, over all pools (guarded by
+  /// pools_mutex_): the next one's CPU when config_.pin_workers is set.
+  std::size_t workers_started_ = 0;
   /// pools_ indexed by kind (AcceleratorKind is a dense enum ending at
   /// kMemcomputing), each slot published once by add_pool and read by
   /// pool_of without the lock.

@@ -11,6 +11,10 @@
 #include <thread>
 #include <vector>
 
+#include "core/random.h"
+#include "memcomputing/canonical.h"
+#include "memcomputing/cnf.h"
+#include "memcomputing/dmm.h"
 #include "net/protocol.h"
 #include "net/socket.h"
 #include "rebootctl/client.h"
@@ -107,6 +111,49 @@ TEST(Service, SatWorkloadSolvesAndReportsItsSteps) {
   EXPECT_EQ(resp->attempts, 1u);
   EXPECT_DOUBLE_EQ(resp->metrics.at("work.sat_satisfied"), 1.0);
   EXPECT_DOUBLE_EQ(resp->metrics.at("work.sat_steps"), 86.0);
+}
+
+// The benchmark's own check, in ctest: each `sat` reply of rebootd's shape
+// (50 vars, 200 clauses) carries exactly the outcome and step count of the
+// same solve run on the test thread. The worker's thread-local Workspace is
+// warm from the earlier seeds and the test thread's is not, so a kernel that
+// read a stale workspace block would split the two.
+TEST(Service, SatRepliesEqualAnInProcessSolve) {
+  memcomputing::dmm_cache().clear();  // every instance is a fresh miss
+  ServerConfig config;
+  config.cpu_workers = 1;
+  Server server(config);
+  ASSERT_TRUE(server.start());
+  rebootctl::Client client = connect_client(server);
+
+  std::vector<std::uint64_t> budget_runs;
+  for (std::uint64_t seed = 1000; seed <= 1011; ++seed) {
+    const auto resp = client.call(submit_work(
+        seed, "sat",
+        core::JsonValue::make_object(
+            {{"vars", core::JsonValue::make_number(50)},
+             {"clauses", core::JsonValue::make_number(200)},
+             {"seed", core::JsonValue::make_number(
+                          static_cast<double>(seed))}})));
+    ASSERT_TRUE(resp.has_value()) << "seed " << seed;
+    ASSERT_EQ(resp->status, net::Status::kOk) << "seed " << seed;
+
+    core::Rng rng(seed);
+    const memcomputing::Cnf cnf = memcomputing::random_ksat(rng, 50, 200, 3);
+    memcomputing::DmmOptions options;
+    options.max_steps = 20'000;
+    const memcomputing::DmmResult want =
+        memcomputing::DmmSolver(cnf, options).solve(rng);
+    EXPECT_EQ(resp->metrics.at("work.sat_satisfied"),
+              want.satisfied ? 1.0 : 0.0)
+        << "seed " << seed;
+    EXPECT_EQ(resp->metrics.at("work.sat_steps"),
+              static_cast<double>(want.steps))
+        << "seed " << seed;
+    if (want.hit_limit) budget_runs.push_back(seed);
+  }
+  // The comparison covers whole-budget runs, the ones that set the p99.
+  EXPECT_EQ(budget_runs, (std::vector<std::uint64_t>{1001, 1008, 1011}));
 }
 
 TEST(Service, FailWorkloadRetriesThenReportsFailed) {

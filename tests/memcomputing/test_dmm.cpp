@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "memcomputing/ising.h"
 #include "memcomputing/sat.h"
 
 namespace rebooting::memcomputing {
@@ -442,6 +443,177 @@ TEST(DmmSlicedEnsemble, SlicedEnsembleMatchesUnsliced) {
     EXPECT_EQ(sliced.results[i].sim_time, whole.results[i].sim_time)
         << "i=" << i;
   }
+}
+
+// --- golden fingerprints for the clause-kernel inputs the DmmGolden cases
+// above do not reach: rebootd's full-budget run, weighted 2-literal MaxSAT,
+// each ablation switch, mixed clause widths and repeated variables. Each
+// pins the end of the trajectory and the caller's generator position; the
+// values were captured from the ClauseData kernel (two heap vectors per
+// clause) that the flat clause layout replaced. ----------------------------
+
+struct Fingerprint {
+  std::size_t steps = 0;
+  Real sim_time = 0.0;
+  std::size_t best_unsatisfied = 0;
+  Real max_abs_voltage = 0.0;
+  std::size_t energy_samples = 0;
+  Real energy_first = 0.0;
+  Real energy_last = 0.0;
+  std::uint64_t next_draw = 0;  ///< rng() right after the solve
+};
+
+DmmResult expect_fingerprint(const Cnf& cnf, const DmmOptions& opts,
+                             core::Rng& rng, const Fingerprint& want) {
+  DmmResult r = DmmSolver(cnf, opts).solve(rng);
+  EXPECT_EQ(r.steps, want.steps);
+  EXPECT_EQ(r.sim_time, want.sim_time);
+  EXPECT_EQ(r.best_unsatisfied, want.best_unsatisfied);
+  EXPECT_EQ(r.max_abs_voltage, want.max_abs_voltage);
+  EXPECT_EQ(r.energy_trace.size(), want.energy_samples);
+  if (!r.energy_trace.empty()) {
+    EXPECT_EQ(r.energy_trace.front(), want.energy_first);
+    EXPECT_EQ(r.energy_trace.back(), want.energy_last);
+  }
+  EXPECT_EQ(rng(), want.next_draw);
+  return r;
+}
+
+TEST(DmmGolden, RebootdBudgetRunUnchanged) {
+  // rebootd's `sat` workload at seed 1001 runs its whole 20,000-step budget.
+  // An energy stride only records the trace; the trajectory is rebootd's.
+  core::Rng rng(1001);
+  const Cnf cnf = random_ksat(rng, 50, 200, 3);
+  DmmOptions opts;
+  opts.max_steps = 20'000;
+  opts.energy_stride = 997;
+  const DmmResult r = expect_fingerprint(
+      cnf, opts, rng,
+      {20000, 464.54026178568091, 1, 1.0, 21, 55.38056617983684,
+       8.9634556520743516, 5735635586693707511ull});
+  EXPECT_FALSE(r.satisfied);
+  EXPECT_TRUE(r.hit_limit);
+  EXPECT_EQ(r.steps_to_best, 4328u);
+}
+
+TEST(DmmGolden, WeightedTwoLiteralMaxSatUnchanged) {
+  core::Rng rng(13);
+  const auto inst = make_frustrated_loops(rng, 5, 6);
+  const Cnf cnf = ising_to_cnf(inst.model);
+  DmmOptions opts;
+  opts.maxsat_mode = true;
+  opts.max_steps = 4000;
+  opts.energy_stride = 250;
+  const DmmResult r = expect_fingerprint(
+      cnf, opts, rng,
+      {4000, 99.85104385333139, 1, 1.0, 16, 22.675028893044004,
+       1.8098573991239306, 18061439258054975884ull});
+  EXPECT_EQ(r.best_unsatisfied_weight, 1.0);
+  EXPECT_EQ(r.steps_to_best, 72u);
+}
+
+TEST(DmmGolden, RigidityOffUnchanged) {
+  core::Rng rng(1001);
+  const Cnf cnf = random_ksat(rng, 50, 200, 3);
+  DmmOptions opts;
+  opts.params.rigidity = false;
+  opts.max_steps = 5000;
+  opts.energy_stride = 50;
+  expect_fingerprint(cnf, opts, rng,
+                     {5000, 122.40704466110488, 3, 1.0, 100, 55.38056617983684,
+                      38.904007170355221, 5735635586693707511ull});
+}
+
+TEST(DmmGolden, LongTermMemoryOffUnchanged) {
+  core::Rng gen(1234);
+  const auto inst = planted_ksat(gen, 30, 126, 3);
+  DmmOptions opts;
+  opts.params.long_term_memory = false;
+  opts.max_steps = 5000;
+  opts.energy_stride = 50;
+  core::Rng rng(99);
+  expect_fingerprint(inst.cnf, opts, rng,
+                     {5000, 2029.2115901544439, 2, 1.0, 100, 33.890063716783047,
+                      4.4900571890929211, 984109756844473948ull});
+}
+
+TEST(DmmGolden, MixedClauseWidthsUnchanged) {
+  // An odd clause count of 1- to 4-literal clauses over distinct variables.
+  core::Rng gen(2718);
+  Cnf cnf(15);
+  constexpr std::size_t kWidths[] = {3, 2, 4, 3, 1, 3, 4, 2};
+  for (std::size_t i = 0; i < 81; ++i) {
+    Clause c;
+    for (const std::size_t v :
+         core::sample_without_replacement(gen, 15, kWidths[i % 8])) {
+      const auto var = static_cast<Literal>(v + 1);
+      c.literals.push_back(gen.bernoulli(0.5) ? var : -var);
+    }
+    cnf.add_clause(std::move(c));
+  }
+  DmmOptions opts;
+  opts.max_steps = 3000;
+  opts.energy_stride = 64;
+  core::Rng rng(5);
+  expect_fingerprint(cnf, opts, rng,
+                     {3000, 35.92945022466359, 4, 1.0, 47, 28.03483556239652,
+                      8.1049989523057437, 16082847584663456688ull});
+}
+
+TEST(DmmGolden, DimacsRepeatedVariablesUnchanged) {
+  // A literal given twice and a tautology reach the kernel as written; the
+  // two unit clauses on variable 6 keep the run going to its budget.
+  const Cnf cnf = Cnf::from_dimacs_string(
+      "p cnf 6 11\n"
+      "1 1 -2 0\n3 -3 0\n-1 2 4 0\n2 -4 5 0\n-5 -6 1 0\n6 0\n"
+      "6 3 -2 0\n-3 4 0\n5 6 -1 0\n-6 -4 -5 0\n-6 0\n");
+  DmmOptions opts;
+  opts.max_steps = 3000;
+  opts.energy_stride = 7;
+  core::Rng rng(77);
+  expect_fingerprint(cnf, opts, rng,
+                     {3000, 104.80484122314004, 1, 1.0, 429, 3.2654876283458951,
+                      1.0, 1257376689362882870ull});
+}
+
+TEST(DmmWorkspace, DirtyWorkspaceReproducesAFreshSolve) {
+  // Recycled workspace blocks keep the stale values of the last solve
+  // (core::Workspace::real); a solve must read none of them.
+  core::Rng gen(31);
+  const auto small = planted_ksat(gen, 20, 85, 3);
+  const Cnf large = random_ksat(gen, 60, 260, 3);
+  DmmOptions opts;
+  opts.max_steps = 3000;
+  opts.energy_stride = 16;
+  opts.track_avalanches = true;
+  const auto solve_small = [&](core::Workspace& ws) {
+    core::Rng rng(8);
+    std::vector<Real> v0(20);
+    for (Real& v : v0) v = rng.uniform(-1.0, 1.0);
+    const DmmResult r = DmmSolver(small.cnf, opts).solve_from(v0, rng, ws);
+    return std::pair{r, rng()};
+  };
+
+  core::Workspace fresh;
+  const auto [want, want_draw] = solve_small(fresh);
+
+  core::Workspace dirty;
+  core::Rng rng(9);
+  std::vector<Real> v0(60);
+  for (Real& v : v0) v = rng.uniform(-1.0, 1.0);
+  DmmSolver(large, opts).solve_from(v0, rng, dirty);
+  const auto [got, got_draw] = solve_small(dirty);
+
+  EXPECT_EQ(got.satisfied, want.satisfied);
+  EXPECT_EQ(got.steps, want.steps);
+  EXPECT_EQ(got.steps_to_best, want.steps_to_best);
+  EXPECT_EQ(got.sim_time, want.sim_time);
+  EXPECT_EQ(got.best_unsatisfied, want.best_unsatisfied);
+  EXPECT_EQ(got.max_abs_voltage, want.max_abs_voltage);
+  EXPECT_EQ(got.assignment, want.assignment);
+  EXPECT_EQ(got.energy_trace, want.energy_trace);
+  EXPECT_EQ(got.avalanche_sizes, want.avalanche_sizes);
+  EXPECT_EQ(got_draw, want_draw);
 }
 
 TEST(Dmm, EmptyFormulaRejected) {

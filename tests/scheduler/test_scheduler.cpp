@@ -1,13 +1,19 @@
 // Scheduler test suite: queue ordering (FIFO within a priority class,
 // priority over queue order), the three backpressure policies, deadline
 // expiry, cooperative cancellation, drain-vs-shutdown semantics, telemetry
-// wiring, and a multi-producer stress test. The whole binary is expected to
-// pass under REBOOTING_SANITIZE=thread (the CI TSan job runs exactly this
-// suite).
+// wiring, worker pinning, and a multi-producer stress test. The whole binary
+// is expected to pass under REBOOTING_SANITIZE=thread (the CI TSan job runs
+// exactly this suite).
 #include "scheduler/scheduler.h"
 
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <latch>
@@ -736,6 +742,84 @@ TEST(SchedulerPreemption, EqualPriorityDoesNotTriggerYield) {
   EXPECT_TRUE(second.get().ok);
   EXPECT_EQ(scheduler.stats().preempts, 0u);
 }
+
+// --- Worker pinning --------------------------------------------------------
+
+#if defined(__linux__)
+/// The CPUs the calling thread may run on, ascending.
+std::vector<int> allowed_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  std::vector<int> cpus;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0)
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu)
+      if (CPU_ISSET(cpu, &set)) cpus.push_back(cpu);
+  return cpus;
+}
+
+/// Whether this process may narrow a thread's affinity (some sandboxes
+/// refuse).
+bool can_pin(int cpu) {
+  bool pinned = false;
+  std::thread probe([&] {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    pinned = pthread_setaffinity_np(pthread_self(), sizeof(one), &one) == 0;
+  });
+  probe.join();
+  return pinned;
+}
+
+/// Each worker of `scheduler`'s CPU pool reports its affinity mask; all
+/// `workers` jobs are held until every worker has taken one.
+std::vector<std::vector<int>> worker_masks(Scheduler& scheduler,
+                                           std::size_t workers) {
+  std::latch all_in{static_cast<std::ptrdiff_t>(workers)};
+  std::mutex mutex;
+  std::vector<std::vector<int>> masks;
+  std::vector<std::future<core::JobResult>> futures;
+  for (std::size_t i = 0; i < workers; ++i)
+    futures.push_back(scheduler.submit(cpu_job("mask", [&] {
+      std::vector<int> mine = allowed_cpus();
+      {
+        std::lock_guard lock(mutex);
+        masks.push_back(std::move(mine));
+      }
+      all_in.arrive_and_wait();
+      return ok_result();
+    })));
+  for (auto& f : futures) EXPECT_TRUE(f.get().ok);
+  return masks;
+}
+
+TEST(SchedulerPinning, EachWorkerRunsOnItsOwnCpu) {
+  const std::vector<int> cpus = allowed_cpus();
+  if (cpus.size() < 2) GTEST_SKIP() << "needs two CPUs";
+  if (!can_pin(cpus.front())) GTEST_SKIP() << "thread affinity refused";
+  const std::size_t workers = std::min<std::size_t>(cpus.size(), 4);
+  Scheduler scheduler({.pin_workers = true});
+  scheduler.add_pool(AcceleratorKind::kClassicalCpu, workers,
+                     core::CpuAccelerator::factory());
+
+  // Worker k runs on the k-th allowed CPU and nowhere else.
+  std::vector<int> pinned;
+  for (const auto& mask : worker_masks(scheduler, workers)) {
+    ASSERT_EQ(mask.size(), 1u);
+    pinned.push_back(mask.front());
+  }
+  std::sort(pinned.begin(), pinned.end());
+  EXPECT_EQ(pinned, std::vector<int>(cpus.begin(), cpus.begin() + workers));
+}
+
+TEST(SchedulerPinning, WorkersKeepTheProcessMaskByDefault) {
+  Scheduler scheduler;
+  scheduler.add_pool(AcceleratorKind::kClassicalCpu, 2,
+                     core::CpuAccelerator::factory());
+  for (const auto& mask : worker_masks(scheduler, 2))
+    EXPECT_EQ(mask, allowed_cpus());
+}
+#endif
 
 // --- Work stealing between kind pools --------------------------------------
 
