@@ -4,10 +4,13 @@
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <fcntl.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -25,6 +28,13 @@ void set_errno_message(std::string* error, const char* what) {
 void set_nodelay(int fd) {
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+}
+
+/// The 4-byte big-endian prefix of an `n`-byte frame; frame_length reads
+/// it back.
+std::array<char, 4> frame_prefix(std::uint32_t n) {
+  return {static_cast<char>(n >> 24), static_cast<char>(n >> 16),
+          static_cast<char>(n >> 8), static_cast<char>(n)};
 }
 
 }  // namespace
@@ -70,6 +80,30 @@ bool Socket::write_all(const void* buf, std::size_t n) {
   return true;
 }
 
+bool Socket::set_nonblocking() {
+  const int flags = ::fcntl(fd_, F_GETFL, 0);
+  return flags >= 0 && ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK) == 0;
+}
+
+long Socket::read_some(void* buf, std::size_t n) {
+  for (;;) {
+    const ssize_t got = ::recv(fd_, buf, n, 0);
+    if (got > 0) return static_cast<long>(got);
+    if (got == 0) return -1;  // peer closed
+    if (errno == EINTR) continue;
+    return errno == EAGAIN || errno == EWOULDBLOCK ? 0 : -1;
+  }
+}
+
+long Socket::write_some(const void* buf, std::size_t n) {
+  for (;;) {
+    const ssize_t sent = ::send(fd_, buf, n, MSG_NOSIGNAL);
+    if (sent >= 0) return static_cast<long>(sent);
+    if (errno == EINTR) continue;
+    return errno == EAGAIN || errno == EWOULDBLOCK ? 0 : -1;
+  }
+}
+
 void Socket::shutdown_read() {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RD);
 }
@@ -83,6 +117,24 @@ void Socket::close() {
     ::close(fd_);
     fd_ = -1;
   }
+}
+
+Waker::Waker() : fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {}
+
+Waker::~Waker() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+void Waker::notify() {
+  const std::uint64_t one = 1;
+  // Can only fail once the counter nears 2^64 - 1, and the fd is readable
+  // then anyway.
+  [[maybe_unused]] const ssize_t n = ::write(fd_, &one, sizeof one);
+}
+
+void Waker::clear() {
+  std::uint64_t count = 0;
+  [[maybe_unused]] const ssize_t n = ::read(fd_, &count, sizeof count);
 }
 
 Socket connect_to(const std::string& host, std::uint16_t port,
@@ -178,26 +230,31 @@ FrameRead read_frame(Socket& sock, std::string* out, std::size_t max_bytes) {
                                        : FrameRead::kError;
   }
   if (!sock.read_exact(prefix + 1, 3)) return FrameRead::kError;
-  const std::uint32_t n = (std::uint32_t{prefix[0]} << 24) |
-                          (std::uint32_t{prefix[1]} << 16) |
-                          (std::uint32_t{prefix[2]} << 8) |
-                          std::uint32_t{prefix[3]};
+  const std::uint32_t n = frame_length(reinterpret_cast<const char*>(prefix));
   if (n > max_bytes) return FrameRead::kOversized;
   out->resize(n);
   if (n > 0 && !sock.read_exact(out->data(), n)) return FrameRead::kError;
   return FrameRead::kFrame;
 }
 
+std::uint32_t frame_length(const char* prefix) {
+  const auto* p = reinterpret_cast<const unsigned char*>(prefix);
+  return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
+         (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
+}
+
+void append_frame(std::string* out, std::string_view payload) {
+  const auto prefix = frame_prefix(static_cast<std::uint32_t>(payload.size()));
+  out->append(prefix.data(), prefix.size());
+  out->append(payload);
+}
+
 bool write_frame(Socket& sock, std::string_view payload) {
   if (payload.size() > 0xFFFFFFFFull) return false;
-  const auto n = static_cast<std::uint32_t>(payload.size());
-  unsigned char prefix[4] = {static_cast<unsigned char>(n >> 24),
-                             static_cast<unsigned char>(n >> 16),
-                             static_cast<unsigned char>(n >> 8),
-                             static_cast<unsigned char>(n)};
+  const auto prefix = frame_prefix(static_cast<std::uint32_t>(payload.size()));
   // One send per part; TCP_NODELAY is set, but the prefix+payload pair still
   // coalesces in the socket buffer under load.
-  return sock.write_all(prefix, sizeof prefix) &&
+  return sock.write_all(prefix.data(), prefix.size()) &&
          sock.write_all(payload.data(), payload.size());
 }
 

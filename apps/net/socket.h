@@ -12,8 +12,10 @@
 //
 // Threading: one Socket may be used by a reader thread and a writer thread
 // simultaneously (recv and send on one fd are independent); writes from
-// several threads need external serialization (rebootd's per-connection
-// write mutex). shutdown_read()/shutdown_both() are the cross-thread
+// several threads need external serialization. rebootd instead gives each
+// connection one thread that polls its non-blocking socket and a Waker, and
+// does all of the socket's reads and writes (set_nonblocking, read_some,
+// write_some). shutdown_read()/shutdown_both() are the cross-thread
 // unblocking knobs: they make a blocked recv return 0 without closing the
 // fd out from under the other thread.
 #pragma once
@@ -47,12 +49,42 @@ class Socket {
   /// a SIGPIPE); false on error.
   bool write_all(const void* buf, std::size_t n);
 
+  /// Non-blocking mode, for a thread that polls the fd: read_some and
+  /// write_some then never wait. False on error.
+  bool set_nonblocking();
+  /// One recv of at most `n` bytes: the count read, 0 when nothing is
+  /// ready, -1 at EOF or on error.
+  long read_some(void* buf, std::size_t n);
+  /// One send of at most `n` bytes (MSG_NOSIGNAL): the count written, 0
+  /// when the socket buffer is full, -1 on error (the peer is gone).
+  long write_some(const void* buf, std::size_t n);
+
   /// Unblocks a reader on another thread: recv returns 0 (EOF). The write
   /// side stays usable, so pending responses can still drain.
   void shutdown_read();
   /// Unblocks reader and writer both.
   void shutdown_both();
   void close();
+
+ private:
+  int fd_ = -1;
+};
+
+/// A pollable wake-up signal between threads (a Linux eventfd): notify()
+/// makes fd() readable until clear(). How another thread interrupts a
+/// thread that sleeps in poll() on a socket.
+class Waker {
+ public:
+  Waker();
+  ~Waker();
+  Waker(const Waker&) = delete;
+  Waker& operator=(const Waker&) = delete;
+
+  /// False when the eventfd could not be created (out of descriptors).
+  bool valid() const { return fd_ >= 0; }
+  int fd() const { return fd_; }
+  void notify();
+  void clear();
 
  private:
   int fd_ = -1;
@@ -99,6 +131,11 @@ enum class FrameRead {
 
 /// Reads one length-prefixed frame into *out.
 FrameRead read_frame(Socket& sock, std::string* out, std::size_t max_bytes);
+/// The payload length a 4-byte frame prefix declares.
+std::uint32_t frame_length(const char* prefix);
+/// Appends `payload` to *out as one frame (prefix + payload), for a writer
+/// that sends many frames from one buffer.
+void append_frame(std::string* out, std::string_view payload);
 /// Writes one frame (4-byte big-endian length + payload). False on error or
 /// a payload longer than fits the 32-bit prefix.
 bool write_frame(Socket& sock, std::string_view payload);

@@ -27,13 +27,16 @@ void on_signal(int) { g_stop.store(true); }
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--host H] [--port P] [--cpu-workers N]\n"
-               "          [--queue-capacity N] [--high-water N] [--pumps N]\n"
+               "          [--queue-capacity N] [--high-water N]\n"
                "          [--retries N] [--engines]\n"
                "          [--quota-rate F --quota-burst F]\n"
                "Port 0 (default) picks an ephemeral port; the bound port is\n"
                "printed on stdout as 'rebootd listening on HOST:PORT'.\n"
-               "Each worker thread is pinned to its own CPU.\n",
-               argv0);
+               "Each worker thread is pinned to its own CPU. A reply is\n"
+               "queued on its connection as soon as its job settles; a\n"
+               "connection with more than %zu bytes of replies queued (a\n"
+               "client that stopped reading) is closed.\n",
+               argv0, rebooting::rebootd::Server::kOutboxCapBytes);
   std::exit(2);
 }
 
@@ -63,8 +66,6 @@ int main(int argc, char** argv) {
       config.queue_capacity = static_cast<std::size_t>(number_arg(argc, argv, i, argv[0]));
     } else if (!std::strcmp(arg, "--high-water")) {
       config.admission_high_water = static_cast<std::size_t>(number_arg(argc, argv, i, argv[0]));
-    } else if (!std::strcmp(arg, "--pumps")) {
-      config.pump_threads = static_cast<std::size_t>(number_arg(argc, argv, i, argv[0]));
     } else if (!std::strcmp(arg, "--retries")) {
       config.retry_attempts = static_cast<std::size_t>(number_arg(argc, argv, i, argv[0]));
     } else if (!std::strcmp(arg, "--quota-rate")) {

@@ -1,6 +1,9 @@
 #include "rebootd/server.h"
 
+#include <poll.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -13,6 +16,14 @@
 namespace rebooting::rebootd {
 
 namespace {
+
+/// Bytes a reader asks its socket for per read.
+constexpr std::size_t kReadChunkBytes = 64 * 1024;
+
+/// Once stop() has begun and a connection is owed nothing more, its reader
+/// gives up on an outbox the peer takes no byte of for this long, so a
+/// client that never reads cannot hold stop() forever.
+constexpr int kStopFlushTimeoutMs = 1000;
 
 sched::SchedulerConfig scheduler_config(const ServerConfig& config) {
   sched::SchedulerConfig sc;
@@ -45,6 +56,31 @@ net::Status status_of(const core::JobResult& result) {
       return net::Status::kCancelled;
   }
   return net::Status::kError;
+}
+
+/// The wire response for a settled job: its result, or the exception its
+/// payload threw.
+net::Response response_of(const core::JobResult& result,
+                          const std::exception_ptr& thrown) {
+  net::Response resp;
+  if (thrown) {
+    resp.status = net::Status::kError;
+    try {
+      std::rethrow_exception(thrown);
+    } catch (const std::exception& e) {
+      resp.summary = e.what();
+    } catch (...) {
+      resp.summary = "payload threw a non-standard exception";
+    }
+    return resp;
+  }
+  resp.status = status_of(result);
+  resp.summary = result.summary;
+  resp.attempts = result.attempts;
+  resp.degraded = result.degraded;
+  resp.wall_seconds = result.wall_seconds;
+  resp.metrics = result.metrics;
+  return resp;
 }
 
 core::JsonValue json_of_pool(const sched::PoolStats& pool) {
@@ -114,9 +150,6 @@ bool Server::start(std::string* error) {
   }
   port_ = listener_.port();
   accept_thread_ = std::thread([this] { accept_loop(); });
-  for (std::size_t i = 0; i < std::max<std::size_t>(1, config_.pump_threads);
-       ++i)
-    pumps_.emplace_back([this, i] { pump_loop(i); });
   {
     std::lock_guard lock(watch_mutex_);
     watch_closed_ = false;
@@ -134,20 +167,21 @@ void Server::stop() {
   if (accept_thread_.joinable()) accept_thread_.join();
   listener_.close();
 
-  // 2. No new requests: unblock every reader's recv (write side stays open
-  //    so responses already owed can still drain), then join readers.
+  // 2. No new requests: shut every read side and wake its reader. The
+  //    reader stops reading; from then on it only writes what its
+  //    connection is owed.
   {
     std::lock_guard lock(readers_mutex_);
-    for (auto& slot : readers_)
-      if (slot.conn) slot.conn->socket.shutdown_read();
+    for (auto& slot : readers_) {
+      slot.conn->socket.shutdown_read();
+      slot.conn->wake.notify();
+    }
   }
-  reap_readers(/*all=*/true);
 
-  // 2b. Close the watch pump: readers are joined, so no new subscription can
-  //     register. The pump exits its loop and sends each subscriber its
-  //     terminal kShuttingDown frame (the subscription's one *response*)
-  //     before the thread returns; the subscribers' Connection shared_ptrs
-  //     keep the write sides alive until then.
+  // 3. Close the watch thread: it queues each subscriber's terminal
+  //    kShuttingDown frame (the subscription's one *response*) and exits.
+  //    A reader still handling a `watch` frame answers it terminally
+  //    itself once watch_closed_ is set.
   {
     std::lock_guard lock(watch_mutex_);
     watch_closed_ = true;
@@ -155,20 +189,14 @@ void Server::stop() {
   watch_cv_.notify_all();
   if (watch_thread_.joinable()) watch_thread_.join();
 
-  // 3. Settle every accepted job: in-flight work finishes, queued work is
-  //    flushed (kFlushed -> kShuttingDown on the wire). After this, every
-  //    Pending future is ready.
+  // 4. Settle every accepted job: in-flight work finishes, queued work is
+  //    flushed (kFlushed -> kShuttingDown on the wire). When this returns,
+  //    every completion hook has queued its reply.
   scheduler_.shutdown();
 
-  // 4. Drain the pumps; they exit once the deque is empty and closed.
-  {
-    std::lock_guard lock(pending_mutex_);
-    pending_closed_ = true;
-  }
-  pending_cv_.notify_all();
-  for (auto& pump : pumps_)
-    if (pump.joinable()) pump.join();
-  pumps_.clear();
+  // 5. Each reader exits once its outbox is written (or after its peer took
+  //    no byte for kStopFlushTimeoutMs); join them.
+  reap_readers(/*all=*/true);
 }
 
 void Server::accept_loop() {
@@ -181,6 +209,7 @@ void Server::accept_loop() {
     TELEM_COUNT("net.connections");
     auto conn = std::make_shared<Connection>();
     conn->socket = std::move(socket);
+    if (!conn->wake.valid() || !conn->socket.set_nonblocking()) continue;
     std::lock_guard lock(readers_mutex_);
     auto& slot = readers_.emplace_back();
     slot.conn = conn;
@@ -217,39 +246,177 @@ void Server::reader_loop(std::shared_ptr<Connection> conn,
               static_cast<core::Real>(
                   active_connections_.fetch_add(1, std::memory_order_relaxed) +
                   1));
-  std::string frame;
-  while (running_.load(std::memory_order_acquire)) {
-    const net::FrameRead read =
-        net::read_frame(conn->socket, &frame, config_.max_frame_bytes);
-    if (read == net::FrameRead::kEof) break;
-    if (read == net::FrameRead::kError) {
-      // Mid-frame disconnect; anything already submitted still completes,
-      // its write just fails against the dead socket.
-      TELEM_COUNT("net.frame_errors");
+  Connection& c = *conn;
+  std::string in;  // bytes read, not yet a whole frame
+  // Left uninitialized: a read touches only the pages it fills.
+  const std::unique_ptr<char[]> chunk(new char[kReadChunkBytes]);
+  // The batch taken from the outbox: written from `written` on; frames[next]
+  // is the first frame not yet written whole, and it starts at `frame_at`.
+  std::string out;
+  std::vector<OutFrame> frames;
+  std::size_t written = 0, next = 0, frame_at = 0;
+  // Writes what the socket takes; false once the peer is gone.
+  const auto write_out = [&] {
+    TELEM_TRACE_SCOPE("net.write");
+    const long n =
+        c.socket.write_some(out.data() + written, out.size() - written);
+    if (n <= 0) return n == 0;
+    written += static_cast<std::size_t>(n);
+    const auto now = Clock::now();
+    for (; next < frames.size() && frame_at + frames[next].bytes <= written;
+         frame_at += frames[next++].bytes) {
+      const OutFrame& frame = frames[next];
+      TELEM_COUNT("net.responses");
+      TELEM_COUNT("net.bytes_out", static_cast<core::Real>(frame.bytes));
+      if (frame.flow == 0) continue;
+      TELEM_RECORD("net.request_seconds",
+                   std::chrono::duration<core::Real>(now - frame.received)
+                       .count());
+      // A remote chain is closed by the client's recv; ending it here too
+      // would give the flow two heads in the merged view.
+      if (frame.remote)
+        TELEM_TRACE_FLOW_STEP("net.request", frame.flow);
+      else
+        TELEM_TRACE_FLOW_END("net.request", frame.flow);
+    }
+    return true;
+  };
+
+  bool reading = true;
+  for (;;) {
+    bool owes = false, queued = false;
+    {
+      std::lock_guard lock(c.mutex);
+      if (c.closed) break;  // the outbox passed kOutboxCapBytes
+      if (written == out.size()) {
+        out.clear();
+        frames.clear();
+        written = next = frame_at = 0;
+        out.swap(c.outbox);
+        frames.swap(c.frames);
+      }
+      owes = c.owed > 0;
+      queued = !c.outbox.empty();
+    }
+    if (written < out.size() && !write_out()) break;
+    if (!running_.load(std::memory_order_acquire)) reading = false;
+    const bool pending = written < out.size();
+    // Frames queued while a batch was part-written sent no wake (push
+    // wakes only an empty outbox): take them now the batch is out.
+    if (!pending && queued) continue;
+    // Only this thread adds to `owed` (handle_submit, handle_watch), so
+    // once it stops reading, nothing owed and nothing pending (nor, by the
+    // line above, queued) is final.
+    if (!reading && !owes && !pending) break;
+
+    pollfd fds[2] = {
+        {c.socket.fd(),
+         static_cast<short>((reading ? POLLIN : 0) | (pending ? POLLOUT : 0)),
+         0},
+        {c.wake.fd(), POLLIN, 0}};
+    const bool flushing_at_stop =
+        !reading && !owes && !running_.load(std::memory_order_acquire);
+    const int ready =
+        ::poll(fds, 2, flushing_at_stop ? kStopFlushTimeoutMs : -1);
+    if (ready == 0) break;  // stop(): the peer took nothing for too long
+    if (ready < 0) {
+      if (errno == EINTR) continue;
       break;
     }
-    if (read == net::FrameRead::kOversized) {
-      TELEM_COUNT("net.frame_oversized");
-      net::Response resp;
-      resp.status = net::Status::kBadRequest;
-      resp.summary = "frame exceeds " +
-                     std::to_string(config_.max_frame_bytes) + " bytes";
-      send_response(conn, resp);
-      break;  // the unread body makes the stream unparseable; hang up
-    }
-    TELEM_COUNT("net.bytes_in", static_cast<core::Real>(frame.size() + 4));
-    if (!handle_frame(conn, frame)) break;
+    if (fds[1].revents & POLLIN) c.wake.clear();
+    if (fds[0].revents & (POLLERR | POLLHUP | POLLNVAL)) break;  // peer gone
+    if (fds[0].revents & POLLIN) reading = read_frames(conn, in, chunk.get());
   }
-  // Note: the reader does NOT mark the connection closed — during stop() the
-  // read side is shut down while pumps still owe responses on the write
-  // side. `open` flips only when a write actually fails.
+
+  // Nothing more is written here: later frames are dropped, and the peer
+  // sees EOF after the last byte written.
+  {
+    std::lock_guard lock(c.mutex);
+    c.closed = true;
+    c.outbox.clear();
+    c.frames.clear();
+  }
+  c.socket.shutdown_both();
   TELEM_GAUGE("net.connections_active",
               static_cast<core::Real>(
                   active_connections_.fetch_sub(1, std::memory_order_relaxed) -
                   1));
 }
 
-bool Server::handle_frame(const std::shared_ptr<Connection>& conn,
+bool Server::read_frames(const std::shared_ptr<Connection>& conn,
+                         std::string& in, char* chunk) {
+  const long got = conn->socket.read_some(chunk, kReadChunkBytes);
+  if (got == 0) return true;
+  if (got < 0) {
+    // EOF, or a read error. A partial frame means a mid-frame disconnect;
+    // anything already submitted still completes, its reply just fails to
+    // reach the dead socket.
+    if (!in.empty()) TELEM_COUNT("net.frame_errors");
+    return false;
+  }
+  in.append(chunk, static_cast<std::size_t>(got));
+  std::size_t at = 0;
+  bool more = true;
+  std::string frame;
+  while (in.size() - at >= 4) {
+    const std::uint32_t n = net::frame_length(in.data() + at);
+    if (n > config_.max_frame_bytes) {
+      TELEM_COUNT("net.frame_oversized");
+      net::Response resp;
+      resp.status = net::Status::kBadRequest;
+      resp.summary = "frame exceeds " +
+                     std::to_string(config_.max_frame_bytes) + " bytes";
+      conn->push(resp);
+      more = false;  // the unread body makes the stream unparseable; hang up
+      break;
+    }
+    if (in.size() - at - 4 < n) break;
+    frame.assign(in, at + 4, n);
+    at += 4 + n;
+    TELEM_COUNT("net.bytes_in", static_cast<core::Real>(n + 4));
+    handle_frame(conn, frame);
+  }
+  in.erase(0, at);
+  return more;
+}
+
+void Server::Connection::owe() {
+  std::lock_guard lock(mutex);
+  ++owed;
+}
+
+bool Server::Connection::push(const net::Response& resp, OutFrame frame,
+                              bool settles) {
+  const std::string payload = net::encode_response(resp);
+  frame.bytes = payload.size() + 4;
+  bool wake_reader = false;
+  bool overflow = false;
+  {
+    std::lock_guard lock(mutex);
+    // The last owed frame wakes the reader even into a non-empty outbox: a
+    // reader that has stopped reading and waits to write re-checks `owed`
+    // only when woken, and once it is owed nothing it may give up on a peer
+    // that takes no byte (stop()).
+    if (settles) wake_reader = --owed == 0;
+    if (closed) return false;
+    // A non-empty outbox otherwise already has a wake on its way, or a
+    // reader that takes it once its current batch is written.
+    wake_reader = wake_reader || outbox.empty();
+    net::append_frame(&outbox, payload);
+    frames.push_back(frame);
+    if (outbox.size() > kOutboxCapBytes) {
+      // The client stopped reading: cut it off instead of buffering for it.
+      closed = overflow = wake_reader = true;
+      outbox.clear();
+      frames.clear();
+    }
+  }
+  if (overflow) TELEM_COUNT("net.outbox_overflow");
+  if (wake_reader) wake.notify();
+  return !overflow;
+}
+
+void Server::handle_frame(const std::shared_ptr<Connection>& conn,
                           const std::string& frame) {
   TELEM_TRACE_SCOPE("net.recv");
   std::string error;
@@ -261,8 +428,8 @@ bool Server::handle_frame(const std::shared_ptr<Connection>& conn,
     net::Response resp;
     resp.status = net::Status::kBadRequest;
     resp.summary = error;
-    send_response(conn, resp);
-    return true;
+    conn->push(resp);
+    return;
   }
   TELEM_COUNT("net.requests");
 
@@ -272,12 +439,12 @@ bool Server::handle_frame(const std::shared_ptr<Connection>& conn,
     resp.trace_id = req->trace_id;
     resp.status = net::Status::kOk;
     resp.summary = "pong";
-    send_response(conn, resp);
-    return true;
+    conn->push(resp);
+    return;
   }
   if (req->method == "status") {
-    send_response(conn, status_response(*req));
-    return true;
+    conn->push(status_response(*req));
+    return;
   }
   if (req->method == "metrics") {
     net::Response resp;
@@ -286,12 +453,12 @@ bool Server::handle_frame(const std::shared_ptr<Connection>& conn,
     resp.status = net::Status::kOk;
     resp.summary = "metrics";
     resp.body = metrics_body();
-    send_response(conn, resp);
-    return true;
+    conn->push(resp);
+    return;
   }
   if (req->method == "watch") {
     handle_watch(conn, *req);
-    return true;
+    return;
   }
   if (req->method == "shutdown") {
     // Flag first, reply second: a client that has read this response must
@@ -302,8 +469,8 @@ bool Server::handle_frame(const std::shared_ptr<Connection>& conn,
     resp.trace_id = req->trace_id;
     resp.status = net::Status::kOk;
     resp.summary = "shutdown requested";
-    send_response(conn, resp);
-    return true;
+    conn->push(resp);
+    return;
   }
   if (req->method == "submit") {
     const std::uint64_t rid =
@@ -316,7 +483,7 @@ bool Server::handle_frame(const std::shared_ptr<Connection>& conn,
     else
       TELEM_TRACE_FLOW_BEGIN("net.request", rid);
     handle_submit(conn, *req, rid);
-    return true;
+    return;
   }
 
   TELEM_COUNT("net.bad_request");
@@ -325,8 +492,7 @@ bool Server::handle_frame(const std::shared_ptr<Connection>& conn,
   resp.trace_id = req->trace_id;
   resp.status = net::Status::kBadRequest;
   resp.summary = "unknown method '" + req->method + "'";
-  send_response(conn, resp);
-  return true;
+  conn->push(resp);
 }
 
 void Server::handle_submit(const std::shared_ptr<Connection>& conn,
@@ -340,7 +506,7 @@ void Server::handle_submit(const std::shared_ptr<Connection>& conn,
     TELEM_COUNT("net.bad_request");
     reject.status = net::Status::kBadRequest;
     reject.summary = "no pool for kind '" + core::to_string(req.kind) + "'";
-    send_response(conn, reject);
+    conn->push(reject);
     return;
   }
   std::string error;
@@ -349,7 +515,7 @@ void Server::handle_submit(const std::shared_ptr<Connection>& conn,
     TELEM_COUNT("net.bad_request");
     reject.status = net::Status::kBadRequest;
     reject.summary = error;
-    send_response(conn, reject);
+    conn->push(reject);
     return;
   }
 
@@ -361,7 +527,7 @@ void Server::handle_submit(const std::shared_ptr<Connection>& conn,
     reject.status = net::Status::kQuotaExceeded;
     reject.summary = "tenant '" + req.tenant + "' over quota";
     reject.retry_after_ms = admission.retry_after_ms;
-    send_response(conn, reject);
+    conn->push(reject);
     return;
   }
   if (scheduler_.queue_depth(req.kind) >= config_.admission_high_water) {
@@ -371,7 +537,7 @@ void Server::handle_submit(const std::shared_ptr<Connection>& conn,
     reject.summary = "queue high-water for '" + core::to_string(req.kind) +
                      "'";
     reject.retry_after_ms = overload_retry_hint(req.kind);
-    send_response(conn, reject);
+    conn->push(reject);
     return;
   }
 
@@ -394,98 +560,38 @@ void Server::handle_submit(const std::shared_ptr<Connection>& conn,
                     core::json_dump(req.params);
   }
 
-  Pending pending;
-  pending.waiter = Waiter{conn, req.id, req.trace_id, now, req.tenant};
-  pending.rid = rid;
-  pending.flow = req.trace_id != 0 ? req.trace_id : rid;
-  pending.remote = req.trace_id != 0;
-  pending.kind = req.kind;
+  // The reply is queued by whichever thread settles the job, straight into
+  // this connection's outbox; the hook never touches the socket.
+  const std::uint64_t flow = req.trace_id != 0 ? req.trace_id : rid;
+  const bool remote = req.trace_id != 0;
+  auto on_complete = [this, conn, id = req.id, trace_id = req.trace_id,
+                      tenant = req.tenant, kind = req.kind, flow, remote,
+                      received = now](core::JobResult result,
+                                      std::exception_ptr thrown) {
+    TELEM_TRACE_SCOPE("net.reply");
+    TELEM_TRACE_FLOW_STEP("net.request", flow);
+    net::Response resp = response_of(result, thrown);
+    resp.id = id;
+    resp.trace_id = trace_id;
+    if (resp.status == net::Status::kOverloaded)
+      resp.retry_after_ms = overload_retry_hint(kind);
+    governor_.release(tenant);
+    conn->push(resp, {.flow = flow, .remote = remote, .received = received},
+               /*settles=*/true);
+  };
+  conn->owe();
   try {
     TELEM_TRACE_SCOPE("net.enqueue");
-    TELEM_TRACE_FLOW_STEP("net.request", pending.flow);
-    pending.future = scheduler_.submit(
-        req.tenant + "/" + req.work, req.kind, std::move(*payload), opts);
+    TELEM_TRACE_FLOW_STEP("net.request", flow);
+    scheduler_.submit(req.tenant + "/" + req.work, req.kind,
+                      std::move(*payload), opts, std::move(on_complete));
   } catch (const std::exception& e) {
     // Shutdown raced the running_ check; answer typed.
     reject.status = net::Status::kShuttingDown;
     reject.summary = e.what();
-    send_response(conn, reject);
     governor_.release(req.tenant);
-    return;
+    conn->push(reject, OutFrame(), /*settles=*/true);
   }
-
-  {
-    std::lock_guard lock(pending_mutex_);
-    pending_.push_back(std::move(pending));
-  }
-  pending_cv_.notify_one();
-}
-
-void Server::pump_loop(std::size_t index) {
-  telemetry::TraceRecorder::instance().set_thread_name(
-      "net pump " + std::to_string(index));
-  for (;;) {
-    Pending pending;
-    {
-      std::unique_lock lock(pending_mutex_);
-      pending_cv_.wait(lock,
-                       [this] { return pending_closed_ || !pending_.empty(); });
-      if (pending_.empty()) return;  // closed and drained
-      pending = std::move(pending_.front());
-      pending_.pop_front();
-    }
-    complete(std::move(pending));
-  }
-}
-
-void Server::complete(Pending&& pending) {
-  TELEM_TRACE_SCOPE("net.reply");
-  TELEM_TRACE_FLOW_STEP("net.request", pending.flow);
-
-  net::Response resp;
-  try {
-    const core::JobResult result = pending.future.get();
-    resp.status = status_of(result);
-    resp.summary = result.summary;
-    resp.attempts = result.attempts;
-    resp.degraded = result.degraded;
-    resp.wall_seconds = result.wall_seconds;
-    resp.metrics = result.metrics;
-    if (resp.status == net::Status::kOverloaded)
-      resp.retry_after_ms = overload_retry_hint(pending.kind);
-  } catch (const std::exception& e) {
-    resp.status = net::Status::kError;
-    resp.summary = e.what();
-  }
-
-  const Waiter& waiter = pending.waiter;
-  resp.id = waiter.wire_id;
-  resp.trace_id = waiter.trace_id;
-  const auto now = Clock::now();
-  send_response(waiter.conn, resp);
-  TELEM_RECORD(
-      "net.request_seconds",
-      std::chrono::duration<core::Real>(now - waiter.received).count());
-  governor_.release(waiter.tenant);
-  // A remote chain is closed by the client's recv; ending it here too would
-  // give the flow two heads in the merged view.
-  if (pending.remote)
-    TELEM_TRACE_FLOW_STEP("net.request", pending.flow);
-  else
-    TELEM_TRACE_FLOW_END("net.request", pending.flow);
-}
-
-void Server::send_response(const std::shared_ptr<Connection>& conn,
-                           const net::Response& resp) {
-  const std::string frame = net::encode_response(resp);
-  std::lock_guard lock(conn->write_mutex);
-  if (!conn->open.load(std::memory_order_acquire)) return;
-  if (!net::write_frame(conn->socket, frame)) {
-    conn->open.store(false, std::memory_order_release);
-    return;
-  }
-  TELEM_COUNT("net.responses");
-  TELEM_COUNT("net.bytes_out", static_cast<core::Real>(frame.size() + 4));
 }
 
 double Server::overload_retry_hint(core::AcceleratorKind kind) const {
@@ -685,7 +791,7 @@ void Server::handle_watch(const std::shared_ptr<Connection>& conn,
       resp.trace_id = req.trace_id;
       resp.status = net::Status::kBadRequest;
       resp.summary = "watch params.interval_ms must be a number";
-      send_response(conn, resp);
+      conn->push(resp);
       return;
     }
     interval_ms = v.number();
@@ -701,7 +807,7 @@ void Server::handle_watch(const std::shared_ptr<Connection>& conn,
   first.summary = "watch";
   first.streaming = true;
   first.body = metrics_body();
-  send_response(conn, first);
+  conn->push(first);
 
   WatchSub sub;
   sub.conn = conn;
@@ -721,9 +827,12 @@ void Server::handle_watch(const std::shared_ptr<Connection>& conn,
       resp.trace_id = req.trace_id;
       resp.status = net::Status::kShuttingDown;
       resp.summary = "watch closed: server stopping";
-      send_response(conn, resp);
+      conn->push(resp);
       return;
     }
+    // Owed before the watch thread can see the subscription, whose
+    // terminal frame settles it.
+    conn->owe();
     watchers_.push_back(std::move(sub));
   }
   watch_cv_.notify_all();
@@ -753,8 +862,10 @@ void Server::watch_loop() {
     // One sampler tick serves every due subscriber this wake; ticking per
     // subscriber would skew rates with near-zero dt samples.
     const core::JsonValue body = metrics_body();
-    for (WatchSub& sub : watchers_) {
-      if (sub.next_due > now) continue;
+    // A closed connection ends the subscription: its client is gone or was
+    // cut off at the outbox cap, and nobody is owed the terminal frame.
+    std::erase_if(watchers_, [&](WatchSub& sub) {
+      if (sub.next_due > now) return false;
       net::Response frame;
       frame.id = sub.wire_id;
       frame.trace_id = sub.trace_id;
@@ -762,22 +873,13 @@ void Server::watch_loop() {
       frame.summary = "watch";
       frame.streaming = true;
       frame.body = body;
-      send_response(sub.conn, frame);
       const auto interval = std::chrono::duration_cast<Clock::duration>(
           std::chrono::duration<double, std::milli>(sub.interval_ms));
-      // Re-anchor on `now`: a stalled pump catches up with one frame, not a
-      // burst of back-dated ones.
+      // Re-anchor on `now`: a stalled thread catches up with one frame,
+      // not a burst of back-dated ones.
       sub.next_due = now + interval;
-    }
-    // A failed push (send_response flipped conn->open) ends the
-    // subscription; its client is gone, nobody is owed the terminal frame.
-    watchers_.erase(
-        std::remove_if(watchers_.begin(), watchers_.end(),
-                       [](const WatchSub& sub) {
-                         return !sub.conn->open.load(
-                             std::memory_order_acquire);
-                       }),
-        watchers_.end());
+      return !sub.conn->push(frame);
+    });
   }
 
   // Teardown: one terminal (non-streaming) frame per surviving subscriber —
@@ -788,7 +890,7 @@ void Server::watch_loop() {
     resp.trace_id = sub.trace_id;
     resp.status = net::Status::kShuttingDown;
     resp.summary = "watch closed: server stopping";
-    send_response(sub.conn, resp);
+    sub.conn->push(resp, OutFrame(), /*settles=*/true);
   }
   watchers_.clear();
 }

@@ -1,41 +1,50 @@
 // The rebootd daemon core: a sched::Scheduler wrapped in the wire protocol
 // of apps/net, embeddable in-process (tests, benches) or behind main().
 //
-// Thread architecture — no stage ever blocks another stage's progress:
+// Thread architecture — no thread ever waits on another connection's socket:
 //
 //   accept loop (1)    poll-based; hands each connection a reader thread.
 //                      Admission problems never reach this thread.
-//   readers (1/conn)   read_frame -> decode -> admission (quota, then
-//                      queue high-water) -> Scheduler::submit.
-//                      Submission uses kReject backpressure, so a reader
-//                      never sleeps on a full queue: the overload answer is
-//                      a typed frame, written immediately.
-//   pumps (N)          bridge the scheduler's std::future completions back
-//                      to sockets: block on future.get(), map the
-//                      JobDisposition to a wire Status, write the response
-//                      (per-connection write mutex; a reader and a pump may
-//                      share a socket).
-//   watch pump (1)     pushes periodic metrics frames (telemetry::Sampler
-//                      ticks) to every `watch` subscriber; at stop() it owes
-//                      each subscriber one terminal frame.
+//   readers (1/conn)   the only thread that reads or writes its socket. It
+//                      polls the non-blocking socket and its connection's
+//                      wake fd; it reads frames -> decode -> admission
+//                      (quota, then queue high-water) -> Scheduler::submit,
+//                      and writes the connection's outbox. Submission uses
+//                      kReject backpressure, so a reader never sleeps on a
+//                      full queue: the overload answer is a typed frame.
+//   scheduler workers  each submit carries a completion hook. On whichever
+//                      thread settles the job (a worker; the reader itself
+//                      on a memo hit or a rejection; stop() on a flush), the
+//                      hook maps the JobDisposition to a wire Status,
+//                      encodes the response, appends it to the connection's
+//                      outbox and wakes the reader. So a reply leaves as
+//                      soon as its job settles, never behind another job.
+//   watch thread (1)   queues periodic metrics frames (telemetry::Sampler
+//                      ticks) in every `watch` subscriber's outbox; at
+//                      stop() it owes each subscriber one terminal frame.
+//
+// Outbox cap: a connection whose outbox (frames its reader has not taken
+// to write yet) passes kOutboxCapBytes has a client that stopped reading.
+// It is shut down, its remaining replies are dropped, and its client counts
+// those requests as transport errors; no other connection waits on it.
 //
 // Accounting invariant: every frame that decodes into a request gets exactly
 // one response, including during stop() — the ordered teardown (stop
-// accepting -> unblock readers -> scheduler shutdown flushes queued jobs as
-// kFlushed -> pumps drain every remaining future) turns in-flight work into
-// kShuttingDown responses instead of dropping it.
+// accepting -> shut every read side -> close the watch, whose terminal
+// frames go into outboxes -> Scheduler::shutdown() calls every remaining
+// hook -> each reader writes its outbox and exits -> join) turns in-flight
+// work into kShuttingDown responses instead of dropping it.
 //
 // Deduplication: every submit becomes its own Scheduler::submit. Identical
 // work shares one execution only when the client opts in with `memo`
 // (DESIGN.md §14): the scheduler's memo cache replays a finished result and
 // its single-flight collapses an identical in-flight job, and every caller
-// still gets its own future and response frame.
+// still gets its own completion and response frame.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -63,7 +72,6 @@ struct ServerConfig {
   /// the depth check and the enqueue (which then surface as kRejected, the
   /// same wire status).
   std::size_t admission_high_water = 0;
-  std::size_t pump_threads = 2;
   /// Pin each scheduler worker to its own CPU (SchedulerConfig::pin_workers).
   /// Off for an embedded server, which shares its process; the rebootd
   /// binary, which owns its host, turns it on.
@@ -80,6 +88,13 @@ struct ServerConfig {
 
 class Server {
  public:
+  /// Outbox bytes at which a connection is shut down: four maximal frames.
+  /// A client that reads keeps its outbox near empty (its in-flight window
+  /// bounds its unread replies); one that stops reading is cut off whatever
+  /// the value, which only sets how much memory it can pin and how long it
+  /// takes. So it is a constant, not an option.
+  static constexpr std::size_t kOutboxCapBytes = 4 * net::kMaxFrameBytes;
+
   explicit Server(ServerConfig config = {});
   ~Server();
 
@@ -90,7 +105,8 @@ class Server {
   void add_pool(core::AcceleratorKind kind, std::size_t workers,
                 const core::AcceleratorFactory& factory);
 
-  /// Binds, spawns the accept loop and pumps. False on bind failure.
+  /// Binds, spawns the accept loop and the watch thread. False on bind
+  /// failure.
   bool start(std::string* error = nullptr);
   std::uint16_t port() const { return port_; }
 
@@ -107,39 +123,46 @@ class Server {
   const ServerConfig& config() const { return config_; }
 
  private:
-  /// One accepted socket, shared by its reader thread and every pump that
-  /// still owes it a response. The fd closes when the last owner drops.
-  struct Connection {
-    net::Socket socket;
-    std::mutex write_mutex;
-    std::atomic<bool> open{true};
-  };
-
-  /// One response owed: which connection, which wire id, when it arrived.
-  struct Waiter {
-    std::shared_ptr<Connection> conn;
-    std::uint64_t wire_id = 0;
-    /// The request's distributed trace context (0 = none), echoed in its
-    /// response frame.
-    std::uint64_t trace_id = 0;
-    Clock::time_point received{};
-    std::string tenant;
-  };
-
-  /// Pump work item: one scheduler future plus the response it owes.
-  struct Pending {
-    std::future<core::JobResult> future;
-    Waiter waiter;
-    std::uint64_t rid = 0;
-    /// "net.request" flow-chain id: the client's trace_id when the request
-    /// carried one, else the server-local rid. `remote` distinguishes the
-    /// two at complete(): a remote chain gets a flow *step* at reply time
-    /// (the client's recv closes it), a local one gets the flow end here.
+  /// One frame in an outbox: its size and, for a submit's reply, what the
+  /// reader records once the frame is written.
+  struct OutFrame {
+    std::size_t bytes = 0;
+    /// "net.request" flow-chain id (0 = not a submit's reply): the
+    /// client's trace_id when the request carried one, else the
+    /// server-local rid. A `remote` chain gets a flow *step* at the write
+    /// (the client's recv closes it), a local one its flow end.
     std::uint64_t flow = 0;
     bool remote = false;
-    /// Which pool the job went to — needed to derive the retry_after_ms
-    /// hint if the scheduler itself answers kOverloaded.
-    core::AcceleratorKind kind = core::AcceleratorKind::kClassicalCpu;
+    Clock::time_point received{};  ///< start of net.request_seconds
+  };
+
+  /// One accepted socket. Its reader thread is the socket's only reader and
+  /// writer; every other thread hands it frames through the outbox. Shared
+  /// with every completion hook and watch subscription that still owes it a
+  /// frame; the fd closes when the last owner drops.
+  struct Connection {
+    net::Socket socket;
+    net::Waker wake;  ///< interrupts the reader's poll
+    /// Guards the members below; a leaf lock, never held across I/O.
+    std::mutex mutex;
+    std::string outbox;  ///< framed responses the reader has not taken yet
+    std::vector<OutFrame> frames;  ///< one entry per frame of `outbox`
+    /// Frames still to come, which keep the reader writing after it stops
+    /// reading: one per accepted submit and one (the terminal frame) per
+    /// live watch subscription.
+    std::size_t owed = 0;
+    /// The reader is gone or the outbox passed kOutboxCapBytes: frames are
+    /// dropped.
+    bool closed = false;
+
+    /// Queues one response for the reader, waking it when the outbox was
+    /// empty or when `settles` (the last frame of a request counted in
+    /// `owed`) brings `owed` to 0. False once closed (dropped).
+    bool push(const net::Response& resp, OutFrame frame, bool settles);
+    bool push(const net::Response& resp) {
+      return push(resp, OutFrame(), false);
+    }
+    void owe();
   };
 
   struct ReaderSlot {
@@ -159,13 +182,18 @@ class Server {
 
   void accept_loop();
   void reader_loop(std::shared_ptr<Connection> conn, std::uint64_t conn_id);
-  void pump_loop(std::size_t index);
-  /// Pushes periodic metrics frames to every watch subscriber; on shutdown,
-  /// sends each one its terminal (non-streaming) kShuttingDown frame so the
-  /// one-response-per-request accounting closes for streams too.
+  /// Reads what the socket holds (through `chunk`) into `in` and handles
+  /// every whole frame there. False once the connection reads no more: EOF,
+  /// an error, or an oversized frame (answered first).
+  bool read_frames(const std::shared_ptr<Connection>& conn, std::string& in,
+                   char* chunk);
+  /// Queues periodic metrics frames for every watch subscriber; on
+  /// shutdown, queues each one its terminal (non-streaming) kShuttingDown
+  /// frame so the one-response-per-request accounting closes for streams
+  /// too.
   void watch_loop();
-  /// Decodes and dispatches one frame; false = hang up the connection.
-  bool handle_frame(const std::shared_ptr<Connection>& conn,
+  /// Decodes and dispatches one frame.
+  void handle_frame(const std::shared_ptr<Connection>& conn,
                     const std::string& frame);
   void handle_submit(const std::shared_ptr<Connection>& conn,
                      const net::Request& req, std::uint64_t rid);
@@ -180,10 +208,6 @@ class Server {
   /// actually present: queued jobs of `kind` divided across its workers,
   /// each costing the observed mean service time (1 ms floor).
   double overload_retry_hint(core::AcceleratorKind kind) const;
-  void send_response(const std::shared_ptr<Connection>& conn,
-                     const net::Response& resp);
-  /// Answers one pending request from its settled future (or exception).
-  void complete(Pending&& pending);
   void reap_readers(bool all);
 
   ServerConfig config_;
@@ -203,12 +227,6 @@ class Server {
   std::thread accept_thread_;
   std::mutex readers_mutex_;
   std::list<ReaderSlot> readers_;
-
-  std::mutex pending_mutex_;
-  std::condition_variable pending_cv_;
-  std::deque<Pending> pending_;
-  bool pending_closed_ = false;
-  std::vector<std::thread> pumps_;
 
   std::mutex watch_mutex_;
   std::condition_variable watch_cv_;

@@ -11,7 +11,7 @@
 // The gate is deliberately conservative — kMinRps is an order of magnitude
 // below what the loopback path sustains on the 4-vCPU CI runners — because
 // this bench exists to catch a collapse of the pipelined path (a reader
-// blocking on the queue, a pump serializing on the wrong lock), not to chase
+// blocking on the queue, replies serializing on the wrong lock), not to chase
 // a peak number. Latency quantiles come from the server-side
 // net.request_seconds histogram via a status call, the same numbers the
 // loadgen soak prints.
@@ -127,7 +127,6 @@ int main(int argc, char** argv) {
   rebootd::ServerConfig config;
   config.cpu_workers = 2;
   config.queue_capacity = 512;
-  config.pump_threads = 2;
   rebootd::Server server(config);
   std::string error;
   if (!server.start(&error)) {

@@ -14,8 +14,8 @@ chrome://tracing-loadable JSON:
   * flow events pass through untouched. They bind by (cat, id) globally, and
     the client stamps its trace_id into the submit frame (the server adopts
     it), so a "net.request" chain drawn client-side continues through the
-    shard's reader -> scheduler -> pump spans and back to the client's recv
-    as one set of arrows.
+    shard's reader -> scheduler worker (completion hook) -> reader write
+    spans and back to the client's recv as one set of arrows.
 
 Usage:
   trace_merge.py --out merged.json client=trace-client.json \\

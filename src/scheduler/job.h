@@ -12,8 +12,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <functional>
-#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -91,7 +91,8 @@ struct JobOptions {
   /// Opt-in memoization (DESIGN.md §14). Non-empty = "this job is a pure
   /// function of this key": an identical key already cached replays the
   /// stored JobResult without executing, and identical keys in flight
-  /// collapse into one execution with fanned-out futures (single-flight).
+  /// collapse into one execution whose outcome fans out to every submitter
+  /// (single-flight).
   /// The submitter owns key correctness — the scheduler cannot see inside
   /// the payload, so a key that omits an input silently replays the wrong
   /// result. Only ok=true, actually-executed results are ever cached.
@@ -101,17 +102,36 @@ struct JobOptions {
   std::string memo_key;
 };
 
+/// How a job's outcome reaches its submitter: the scheduler's one completion
+/// path (DESIGN.md §7). It is called exactly once per accepted submission,
+/// with the job's JobResult, or with an empty JobResult and the exception
+/// its payload threw (`thrown` is null otherwise). It runs on whichever
+/// thread settles the job:
+///   - a worker: the job executed, failed after its retries, threw, was
+///     cancelled or expired at dequeue, or found its queue closed when it
+///     came back for a retry, a failover hop or the next slice;
+///   - the submitter, inside submit(): a memo hit, a kReject rejection, or
+///     the kShedOldest victim that the submission evicted;
+///   - the thread that calls shutdown(): a job flushed from its queue.
+/// No scheduler lock is held while a hook runs, so a hook may read the
+/// scheduler (stats(), queue_depth(), ...); drain() returns only after the
+/// last hook has returned. A hook holds the thread that settles the job, so
+/// it should be quick, and it must not throw: an exception that escapes it
+/// is only counted (sched.hook_exceptions).
+using CompletionHook =
+    std::function<void(core::JobResult result, std::exception_ptr thrown)>;
+
 /// One in-flight memoized execution (single-flight). The first submitter of
 /// a memo_key becomes the *leader* and executes normally; later identical
-/// submitters become *riders*: their promises park here and are fulfilled
-/// with a copy of the leader's outcome — result or exception — when it
-/// settles. Riders' own cancel/deadline options are honored at delivery
+/// submitters become *riders*: their completion hooks park here and are
+/// called with a copy of the leader's outcome — result or exception — when
+/// it settles. Riders' own cancel/deadline options are honored at delivery
 /// time. Guarded by the scheduler's flight registry mutex.
 struct MemoFlight {
   struct Rider {
     std::string name;
     JobOptions opts;
-    std::promise<core::JobResult> promise;
+    CompletionHook on_complete;
   };
 
   core::HashKey128 key;
@@ -157,11 +177,11 @@ class YieldProbe {
 using PreemptiblePayload = std::function<std::optional<core::JobResult>(
     core::Accelerator&, const YieldProbe&)>;
 
-/// One queue entry: the job, its controls, the promise the submitter's
-/// future is attached to, and everything the scheduler carries from one
-/// dequeue of the job to the next. A job leaves its worker after one attempt
-/// or one slice: it either settles or is requeued (a retry, a failover hop
-/// or a yield), so this entry is the job's whole state between attempts.
+/// One queue entry: the job, its controls, the hook that delivers its
+/// outcome, and everything the scheduler carries from one dequeue of the job
+/// to the next. A job leaves its worker after one attempt or one slice: it
+/// either settles or is requeued (a retry, a failover hop or a yield), so
+/// this entry is the job's whole state between attempts.
 struct QueuedJob {
   std::string name;
   core::AcceleratorKind kind = core::AcceleratorKind::kClassicalCpu;
@@ -171,7 +191,7 @@ struct QueuedJob {
   /// state between slices.
   PreemptiblePayload preemptible;
   JobOptions opts;
-  std::promise<core::JobResult> promise;
+  CompletionHook on_complete;
   std::uint64_t seq = 0;  ///< scheduler-global submission order, unique
   Clock::time_point submitted_at{};  ///< start of sched.latency_seconds
   /// The entry is not dequeued before this instant (a retry's backoff); it
@@ -190,7 +210,7 @@ struct QueuedJob {
   // --- memoization bookkeeping --------------------------------------------
   /// Set when this job leads a single-flight group; travels with the job
   /// across requeues, and is settled exactly once, by whichever code path
-  /// fulfills the leader's promise.
+  /// settles the leader.
   std::shared_ptr<MemoFlight> memo_flight;
 };
 

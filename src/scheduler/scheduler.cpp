@@ -6,6 +6,7 @@
 #endif
 
 #include <cmath>
+#include <future>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -72,6 +73,32 @@ void pin_to_cpu(std::thread& thread, std::size_t ordinal) {
   (void)thread;
   (void)ordinal;
 #endif
+}
+
+/// Calls a completion hook. A hook that throws, against its contract, must
+/// not end the settling thread with the job still counted outstanding: the
+/// exception is counted as sched.hook_exceptions and goes no further.
+void call_hook(const CompletionHook& hook, core::JobResult&& result,
+               std::exception_ptr thrown) {
+  try {
+    hook(std::move(result), std::move(thrown));
+  } catch (...) {
+    telemetry::count("sched.hook_exceptions");
+  }
+}
+
+/// The future adapter: a hook that settles a promise, whose future it leaves
+/// in `*future`. std::function needs a copyable target, hence the shared_ptr.
+CompletionHook promise_hook(std::future<core::JobResult>* future) {
+  auto promise = std::make_shared<std::promise<core::JobResult>>();
+  *future = promise->get_future();
+  return [promise = std::move(promise)](core::JobResult result,
+                                        std::exception_ptr thrown) {
+    if (thrown)
+      promise->set_exception(std::move(thrown));
+    else
+      promise->set_value(std::move(result));
+  };
 }
 
 }  // namespace
@@ -175,28 +202,41 @@ std::future<core::JobResult> Scheduler::submit(std::string name,
                                                core::AcceleratorKind kind,
                                                DevicePayload payload,
                                                JobOptions opts) {
+  std::future<core::JobResult> future;
+  submit(std::move(name), kind, std::move(payload), std::move(opts),
+         promise_hook(&future));
+  return future;
+}
+
+void Scheduler::submit(std::string name, core::AcceleratorKind kind,
+                       DevicePayload payload, JobOptions opts,
+                       CompletionHook on_complete) {
   if (!payload)
     throw std::invalid_argument("sched: job '" + name + "' has no payload");
+  if (!on_complete)
+    throw std::invalid_argument("sched: job '" + name +
+                                "' has no completion hook");
   if (!accepting())
     throw std::runtime_error("sched: submit('" + name + "') after shutdown");
   Pool* pool = find_pool(kind);
 
   std::shared_ptr<MemoFlight> flight;
-  if (auto memoized = try_memo(name, opts, &flight)) return std::move(*memoized);
+  if (try_memo(name, opts, on_complete, &flight)) return;
 
   QueuedJob item;
   item.name = std::move(name);
   item.kind = kind;
   item.payload = std::move(payload);
   item.opts = std::move(opts);
+  item.on_complete = std::move(on_complete);
   item.memo_flight = std::move(flight);
-  return enqueue(std::move(item), pool);
+  enqueue(std::move(item), pool);
 }
 
-std::optional<std::future<core::JobResult>> Scheduler::try_memo(
-    const std::string& name, const JobOptions& opts,
-    std::shared_ptr<MemoFlight>* flight_out) {
-  if (opts.memo_key.empty() || !core::cache_enabled()) return std::nullopt;
+bool Scheduler::try_memo(const std::string& name, const JobOptions& opts,
+                         CompletionHook& on_complete,
+                         std::shared_ptr<MemoFlight>* flight_out) {
+  if (opts.memo_key.empty() || !core::cache_enabled()) return false;
   core::HashWriter w;
   w.str(opts.memo_key);
   const core::HashKey128 key = w.finish();
@@ -207,10 +247,9 @@ std::optional<std::future<core::JobResult>> Scheduler::try_memo(
     memo_hits_.fetch_add(1, std::memory_order_relaxed);
     telemetry::count("sched.memo_hit");
     TELEM_TRACE_INSTANT("sched.memo_hit");
-    std::promise<core::JobResult> promise;
-    auto future = promise.get_future();
-    promise.set_value(cancelled_or_expired(name, opts).value_or(*cached));
-    return future;
+    call_hook(on_complete,
+              cancelled_or_expired(name, opts).value_or(*cached), nullptr);
+    return true;
   }
 
   std::lock_guard lock(flights_mutex_);
@@ -220,20 +259,16 @@ std::optional<std::future<core::JobResult>> Scheduler::try_memo(
     memo_riders_.fetch_add(1, std::memory_order_relaxed);
     telemetry::count("sched.memo_rider");
     TELEM_TRACE_INSTANT("sched.memo_rider");
-    MemoFlight::Rider rider;
-    rider.name = name;
-    rider.opts = opts;
-    auto future = rider.promise.get_future();
-    it->second->riders.push_back(std::move(rider));
+    it->second->riders.push_back({name, opts, std::move(on_complete)});
     track_accept();
-    return future;
+    return true;
   }
   // No cached result, no flight: this submission leads a new one.
   auto flight = std::make_shared<MemoFlight>();
   flight->key = key;
   flights_.emplace(key, flight);
   *flight_out = std::move(flight);
-  return std::nullopt;
+  return false;
 }
 
 void Scheduler::fulfill(QueuedJob& item, core::JobResult&& result,
@@ -242,10 +277,7 @@ void Scheduler::fulfill(QueuedJob& item, core::JobResult&& result,
     settle_flight(item.memo_flight, thrown ? nullptr : &result, thrown);
     item.memo_flight.reset();
   }
-  if (thrown)
-    item.promise.set_exception(std::move(thrown));
-  else
-    item.promise.set_value(std::move(result));
+  call_hook(item.on_complete, std::move(result), std::move(thrown));
   track_complete();
 }
 
@@ -274,11 +306,11 @@ void Scheduler::settle_flight(const std::shared_ptr<MemoFlight>& flight,
                     bytes);
   }
   for (auto& rider : riders) {
-    if (thrown)
-      rider.promise.set_exception(thrown);
-    else
-      rider.promise.set_value(
-          cancelled_or_expired(rider.name, rider.opts).value_or(*result));
+    call_hook(rider.on_complete,
+              thrown ? core::JobResult{}
+                     : cancelled_or_expired(rider.name, rider.opts)
+                           .value_or(*result),
+              thrown);
     track_complete();
   }
 }
@@ -286,8 +318,22 @@ void Scheduler::settle_flight(const std::shared_ptr<MemoFlight>& flight,
 std::future<core::JobResult> Scheduler::submit_preemptible(
     std::string name, core::AcceleratorKind kind, PreemptiblePayload payload,
     JobOptions opts) {
+  std::future<core::JobResult> future;
+  submit_preemptible(std::move(name), kind, std::move(payload),
+                     std::move(opts), promise_hook(&future));
+  return future;
+}
+
+void Scheduler::submit_preemptible(std::string name,
+                                   core::AcceleratorKind kind,
+                                   PreemptiblePayload payload,
+                                   JobOptions opts,
+                                   CompletionHook on_complete) {
   if (!payload)
     throw std::invalid_argument("sched: job '" + name + "' has no payload");
+  if (!on_complete)
+    throw std::invalid_argument("sched: job '" + name +
+                                "' has no completion hook");
   if (!accepting())
     throw std::runtime_error("sched: submit('" + name + "') after shutdown");
   Pool* pool = find_pool(kind);
@@ -297,13 +343,13 @@ std::future<core::JobResult> Scheduler::submit_preemptible(
   item.kind = kind;
   item.preemptible = std::move(payload);
   item.opts = std::move(opts);
-  return enqueue(std::move(item), pool);
+  item.on_complete = std::move(on_complete);
+  enqueue(std::move(item), pool);
 }
 
-std::future<core::JobResult> Scheduler::enqueue(QueuedJob item, Pool* pool) {
+void Scheduler::enqueue(QueuedJob item, Pool* pool) {
   item.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   item.submitted_at = item.ready_at = Clock::now();
-  auto future = item.promise.get_future();
   track_accept();
 
   // The submit slice brackets the (possibly blocking) push, and the flow
@@ -333,7 +379,6 @@ std::future<core::JobResult> Scheduler::enqueue(QueuedJob item, Pool* pool) {
                      "sched.flushed", core::JobDisposition::kFlushed);
       break;
   }
-  return future;
 }
 
 std::vector<std::future<core::JobResult>> Scheduler::submit_batch(
@@ -695,9 +740,10 @@ void Scheduler::track_complete() {
 }
 
 void Scheduler::drain() {
-  // Counted at promise completion (track_accept/track_complete), so this is
-  // exact even while jobs hop between pools on failover — a queue-emptiness
-  // scan could observe "all idle" mid-hop.
+  // Counted around the completion hook (track_accept before the job can
+  // settle, track_complete once its hook has returned), so this is exact
+  // even while jobs hop between pools on failover — a queue-emptiness scan
+  // could observe "all idle" mid-hop.
   std::unique_lock lock(drain_mutex_);
   drain_cv_.wait(lock, [&] { return outstanding_ == 0; });
 }
@@ -709,19 +755,23 @@ void Scheduler::shutdown() {
     // or a payload does while finishing its last attempt may wait on a
     // lock that is held across the join. add_pool refuses from here on.
     std::vector<std::thread> threads;
+    std::vector<Pool*> pools;
     {
       std::lock_guard lock(pools_mutex_);
       for (auto& [kind, pool] : pools_) {
         pool->queue.close();
         for (auto& thread : pool->threads) threads.push_back(std::move(thread));
+        pools.push_back(pool.get());
       }
     }
     for (auto& thread : threads) thread.join();
-    std::lock_guard lock(pools_mutex_);
     // Workers are gone; whatever stayed queued is completed, not executed.
-    // flush() hands the leftovers back in queue (priority, then FIFO) order,
-    // so the ok=false completions are deterministic.
-    for (auto& [kind, pool] : pools_) {
+    // add_pool refuses from here on, so `pools` is the whole set, and the
+    // flushed jobs' hooks run without pools_mutex_ (no hook ever runs
+    // under a scheduler lock). flush() hands the leftovers back in queue
+    // (priority, then FIFO) order, so the ok=false completions are
+    // deterministic.
+    for (Pool* pool : pools) {
       for (auto& item : pool->queue.flush())
         complete_unrun(std::move(item), "flushed at shutdown", "sched.flushed",
                        core::JobDisposition::kFlushed);

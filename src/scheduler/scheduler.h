@@ -6,7 +6,9 @@
 //
 //   submit()        -> std::future<core::JobResult>, with per-job priority,
 //                      deadline, cooperative cancellation, and RetryPolicy
-//                      (job.h)
+//                      (job.h); or, given a CompletionHook, the outcome is
+//                      handed to the hook on the thread that settles the
+//                      job. The future is a thin adapter over the hook.
 //   submit_batch()  -> fan-out of a job vector, futures in submission order
 //   drain()         -> block until every accepted job has finished; the
 //                      scheduler keeps accepting new work afterwards
@@ -16,12 +18,12 @@
 //
 // Execution: a worker runs exactly one attempt (or, for a preemptible job,
 // one slice) per dequeue. The job then either settles — one funnel does the
-// executed-job accounting, the latency sample, the memo-aware fulfil and the
-// drain bookkeeping — or is requeued into the queue of its kind: a yield is
-// ready at once, a retry once its backoff has passed, a failover hop at
-// once on the classical-cpu pool. No worker waits out a backoff; it serves
-// the queue meanwhile. Cancellation and deadlines are checked at every
-// dequeue, so between attempts and slices too.
+// executed-job accounting, the latency sample, the memo-aware completion
+// and the drain bookkeeping — or is requeued into the queue of its kind: a
+// yield is ready at once, a retry once its backoff has passed, a failover
+// hop at once on the classical-cpu pool. No worker waits out a backoff; it
+// serves the queue meanwhile. Cancellation and deadlines are checked at
+// every dequeue, so between attempts and slices too.
 //
 // Resilient execution (DESIGN.md §10): each attempt may be vetoed by the
 // worker's deterministic fault injector (core::FaultyAccelerator — wired
@@ -42,10 +44,10 @@
 // `sched.{wait,service,latency}_seconds`, per-kind counters
 // `sched.jobs.<kind>` and `sched.busy_seconds.<kind>`, and
 // outcome counters `sched.deadline_missed` / `sched.rejected` / `sched.shed`
-// / `sched.cancelled` / `sched.flushed` / `sched.payload_exceptions`, plus
-// the resilience counters `sched.attempts` / `sched.retries` /
-// `sched.faults_injected` / `sched.breaker_open` / `sched.failover` /
-// `sched.degraded`.
+// / `sched.cancelled` / `sched.flushed` / `sched.payload_exceptions` /
+// `sched.hook_exceptions`, plus the resilience counters `sched.attempts` /
+// `sched.retries` / `sched.faults_injected` / `sched.breaker_open` /
+// `sched.failover` / `sched.degraded`.
 //
 // Tracing (REBOOTING_TRACE, see telemetry/trace.h): every worker thread is
 // named "<kind> worker <replica>", each executed job is a begin/end slice
@@ -150,7 +152,7 @@ class Scheduler {
  public:
   explicit Scheduler(SchedulerConfig config = {});
   /// Runs shutdown(); queued-but-unexecuted jobs complete with ok=false, so
-  /// no future obtained from this scheduler is ever abandoned.
+  /// no accepted job is ever abandoned.
   ~Scheduler();
 
   Scheduler(const Scheduler&) = delete;
@@ -177,6 +179,15 @@ class Scheduler {
                                       DevicePayload payload,
                                       JobOptions opts = {});
 
+  /// The completion path every submit goes through: the job's outcome is
+  /// handed to `on_complete` exactly once (CompletionHook, job.h) instead
+  /// of a future. Throws like submit(), and a null hook is an
+  /// std::invalid_argument; a submission that throws was not accepted, and
+  /// its hook is never called.
+  void submit(std::string name, core::AcceleratorKind kind,
+              DevicePayload payload, JobOptions opts,
+              CompletionHook on_complete);
+
   /// Submits a slice-based job (DESIGN.md §12). The payload is invoked
   /// repeatedly; each invocation is one time slice. When it returns a
   /// JobResult the job completes; when it returns std::nullopt ("yielded at
@@ -192,23 +203,27 @@ class Scheduler {
                                                   core::AcceleratorKind kind,
                                                   PreemptiblePayload payload,
                                                   JobOptions opts = {});
+  /// Same, with the outcome handed to a completion hook, as in submit().
+  void submit_preemptible(std::string name, core::AcceleratorKind kind,
+                          PreemptiblePayload payload, JobOptions opts,
+                          CompletionHook on_complete);
 
   /// Fan-out: submits every job, returns futures in submission order for the
   /// caller's fan-in (wait on all, then combine).
   std::vector<std::future<core::JobResult>> submit_batch(
       std::vector<core::Job> jobs, JobOptions opts = {});
 
-  /// Blocks until every accepted job has completed (its future is ready).
-  /// The scheduler continues accepting work afterwards — drain is a
-  /// barrier, not an end-of-life.
+  /// Blocks until every accepted job has completed: its completion hook has
+  /// returned (its future is ready). The scheduler continues accepting
+  /// work afterwards — drain is a barrier, not an end-of-life.
   void drain();
 
   /// Stops accepting submissions, closes all queues, joins the workers (an
   /// in-flight attempt or slice finishes; a job it would requeue settles
   /// kFlushed instead), then completes every still-queued job — including
   /// retries waiting out a backoff — with ok=false (kFlushed, keeping its
-  /// attempts and fault log) in queue (priority, then FIFO) order.
-  /// Idempotent.
+  /// attempts and fault log) in queue (priority, then FIFO) order, on the
+  /// calling thread and with no scheduler lock held. Idempotent.
   void shutdown();
 
   /// False once shutdown() has begun.
@@ -260,7 +275,7 @@ class Scheduler {
   static PoolStats snapshot_pool(const Pool& pool);
   /// Shared tail of submit/submit_preemptible: assign seq, push, handle
   /// backpressure verdicts.
-  std::future<core::JobResult> enqueue(QueuedJob item, Pool* pool);
+  void enqueue(QueuedJob item, Pool* pool);
   void worker_loop(Pool& pool, core::Accelerator& replica, Worker& state,
                    std::size_t replica_index);
   /// Runs one attempt or one slice of a dequeued job on this worker, which
@@ -288,7 +303,7 @@ class Scheduler {
   /// The one way a dequeued job completes: stamps the attempt bookkeeping on
   /// `result`, does the executed-job accounting for `pool`, records
   /// sched.latency_seconds from submission, ends the job's flow, and
-  /// fulfills its promise (with `thrown`, when set).
+  /// completes it (with `thrown`, when set).
   void settle(const Pool& pool, QueuedJob& item, core::JobResult result,
               std::exception_ptr thrown = nullptr);
   Clock::duration backoff_delay(const RetryPolicy& retry, std::size_t attempt,
@@ -300,10 +315,10 @@ class Scheduler {
   void track_complete();
 
   // --- memoization (DESIGN.md §14) ----------------------------------------
-  /// The single funnel for fulfilling a job's promise, with `result` or,
-  /// when set, the exception `thrown`: settles the job's memo flight (if it
-  /// leads one) before completing, so riders can never outlive their
-  /// leader, and receive the same outcome.
+  /// The single funnel that calls a job's completion hook, with `result`
+  /// or, when set, the exception `thrown`: settles the job's memo flight
+  /// (if it leads one) first, so riders can never outlive their leader, and
+  /// receive the same outcome.
   void fulfill(QueuedJob& item, core::JobResult&& result,
                std::exception_ptr thrown = nullptr);
   /// Removes the flight from the registry (no rider can attach afterwards),
@@ -311,12 +326,14 @@ class Scheduler {
   /// every rider — honoring each rider's own cancel/deadline at delivery.
   void settle_flight(const std::shared_ptr<MemoFlight>& flight,
                      const core::JobResult* result, std::exception_ptr thrown);
-  /// Memo fast paths of submit(): replay a cached result, or join/lead the
-  /// single-flight group. Returns the future to hand back, or nullopt when
-  /// the job must enqueue normally (possibly now leading `flight_out`).
-  std::optional<std::future<core::JobResult>> try_memo(
-      const std::string& name, const JobOptions& opts,
-      std::shared_ptr<MemoFlight>* flight_out);
+  /// Memo fast paths of submit(): replay a cached result through
+  /// `on_complete` on the calling thread, or park it as a rider on an
+  /// identical in-flight job. Returns true when it did either (the hook is
+  /// consumed), false when the job must enqueue normally (possibly now
+  /// leading `flight_out`).
+  bool try_memo(const std::string& name, const JobOptions& opts,
+                CompletionHook& on_complete,
+                std::shared_ptr<MemoFlight>* flight_out);
 
   SchedulerConfig config_;
   std::atomic<bool> accepting_{true};
@@ -341,9 +358,10 @@ class Scheduler {
   std::atomic<std::uint64_t> memo_hits_{0};
   std::atomic<std::uint64_t> memo_riders_{0};
 
-  // drain() bookkeeping: accepted-but-uncompleted jobs. Counted at the
-  // promise, not the queue, so a failover hop between pools can never open
-  // a window where every queue looks idle while a job is mid-flight.
+  // drain() bookkeeping: accepted-but-uncompleted jobs. Counted around the
+  // completion hook, not at the queue, so a failover hop between pools can
+  // never open a window where every queue looks idle while a job is
+  // mid-flight.
   mutable std::mutex drain_mutex_;
   std::condition_variable drain_cv_;
   std::size_t outstanding_ = 0;

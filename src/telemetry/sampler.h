@@ -11,7 +11,7 @@
 //
 // Two driving modes, freely mixed:
 //
-//   tick()         take one sample now (what rebootd's watch pump and the
+//   tick()         take one sample now (what rebootd's watch thread and the
 //                  `metrics` verb call; also what makes tests deterministic)
 //   start()/stop() background thread ticking every config.period — for
 //                  embedders without their own cadence

@@ -3,9 +3,12 @@
 // tenancy, teardown accounting, and the connection-level failure modes. Runs
 // under TSan in CI.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -20,11 +23,13 @@
 #include "rebootctl/client.h"
 #include "rebootd/server.h"
 #include "rebootd/tenancy.h"
+#include "support/watchdog.h"
 
 namespace rebooting::rebootd {
 namespace {
 
 using namespace std::chrono_literals;
+using test_support::Watchdog;
 
 net::Request submit_spin(std::uint64_t id, double micros) {
   net::Request req;
@@ -303,7 +308,6 @@ TEST(Service, MidRequestDisconnectLeavesTheServerServing) {
 TEST(Service, ConcurrentClientsAllGetTheirAnswers) {
   ServerConfig config;
   config.cpu_workers = 2;
-  config.pump_threads = 2;
   Server server(config);
   ASSERT_TRUE(server.start());
 
@@ -680,6 +684,370 @@ TEST(Service, TraceContextIsEchoedOnEveryOutcome) {
   const auto plain = client.call(submit_spin(4, 50.0));
   ASSERT_TRUE(plain.has_value());
   EXPECT_EQ(plain->trace_id, 0u);
+}
+
+// --- the reply path: each reply leaves when its job settles ----------------
+
+/// One counter of the server's registry, read through the metrics verb.
+double server_counter(rebootctl::Client& client, const char* name) {
+  net::Request req;
+  req.id = 1;
+  req.method = "metrics";
+  const auto resp = client.call(req);
+  if (!resp || !resp->body.is_object()) return -1.0;
+  const core::JsonValue& counters = resp->body.at("counters");
+  return counters.contains(name) ? counters.at(name).number() : 0.0;
+}
+
+/// Latencies of one client's calls, checked against the reply-path bound:
+/// the 99th percentile within 50 ms, and no call past 1 s. On a shared
+/// 4-vCPU host, and more so under TSan, a single call now and then waits
+/// tens of ms for a CPU while a flood runs (up to 111 ms seen under TSan,
+/// at a 99th percentile of 22-37 ms); a reply held behind another
+/// connection never arrives at all.
+void expect_replies_keep_arriving(std::vector<Clock::duration> latencies) {
+  ASSERT_FALSE(latencies.empty());
+  std::sort(latencies.begin(), latencies.end());
+  const auto p99 = latencies[latencies.size() * 99 / 100];
+  EXPECT_LT(p99, 50ms) << "99th percentile of " << latencies.size()
+                       << " calls";
+  EXPECT_LT(latencies.back(), 1s) << "slowest of " << latencies.size()
+                                  << " calls";
+}
+
+/// Reads frames until the stream ends; returns how it ended.
+net::FrameRead read_to_end(net::Socket& sock, std::size_t* frames) {
+  std::string frame;
+  net::FrameRead end;
+  while ((end = net::read_frame(sock, &frame, net::kMaxFrameBytes)) ==
+         net::FrameRead::kFrame)
+    ++*frames;
+  return end;
+}
+
+net::Request from_tenant(net::Request req, std::string tenant) {
+  req.tenant = std::move(tenant);
+  return req;
+}
+
+net::Request padded_echo(std::uint64_t id, std::size_t pad_bytes) {
+  return submit_work(
+      id, "echo",
+      core::JsonValue::make_object(
+          {{"pad",
+            core::JsonValue::make_string(std::string(pad_bytes, 'p'))}}));
+}
+
+// Two 200 ms spins hold two of four workers, and ten echoes sent behind them
+// on the same connection run at once on the other two. Each echo's reply
+// must leave when its job settles: before either spin's reply, and within
+// 50 ms of its send. A server whose replies wait on the oldest job in
+// flight delivers every echo after ~200 ms.
+TEST(Service, NoReplyWaitsBehindAnotherJob) {
+  Watchdog watchdog(30s, "NoReplyWaitsBehindAnotherJob");
+  ServerConfig config;
+  config.cpu_workers = 4;
+  Server server(config);
+  ASSERT_TRUE(server.start());
+  rebootctl::Client client = connect_client(server);
+  // Warm-up: four concurrent spins give every worker, and the reader, its
+  // first job. A thread's first traced event allocates its trace ring,
+  // which under TSan with REBOOTING_TRACE costs several ms.
+  for (std::uint64_t id = 101; id <= 104; ++id)
+    ASSERT_TRUE(client.send(submit_spin(id, 20'000.0)));
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(client.recv().has_value());
+
+  ASSERT_TRUE(client.send(submit_spin(1, 200'000.0)));
+  ASSERT_TRUE(client.send(submit_spin(2, 200'000.0)));
+  std::map<std::uint64_t, Clock::time_point> sent;
+  for (std::uint64_t id = 10; id < 20; ++id) {
+    sent[id] = Clock::now();
+    ASSERT_TRUE(client.send(submit_work(id, "echo")));
+  }
+  int echoes = 0;
+  for (int i = 0; i < 12; ++i) {
+    const auto resp = client.recv();
+    const auto arrived = Clock::now();
+    ASSERT_TRUE(resp.has_value());
+    EXPECT_EQ(resp->status, net::Status::kOk) << "id " << resp->id;
+    if (resp->id <= 2) {
+      EXPECT_EQ(echoes, 10) << "spin " << resp->id << " replied before the "
+                            << "echoes queued behind it";
+      continue;
+    }
+    ++echoes;
+    EXPECT_LT(arrived - sent.at(resp->id), 50ms) << "echo " << resp->id;
+  }
+  EXPECT_EQ(echoes, 10);
+}
+
+// Client A pipelines echo submits carrying a 400-byte param and never reads
+// its replies, while client B makes echo calls. B's replies must keep
+// arriving within 50 ms. Once A's unwritten replies pass the outbox cap the
+// server shuts A's connection: A's writes fail, and reading what reached it
+// ends in EOF or a reset, short of a reply per request. Then stop() must
+// return. A server that writes replies with blocking writes shared across
+// connections leaves B waiting forever; the watchdog makes that a failure.
+// A and B are distinct tenants, so fair share keeps B's jobs ahead of A's
+// backlog in the queue: what B measures is the reply path.
+TEST(Service, ClientThatStopsReadingStallsOnlyItself) {
+  Watchdog watchdog(120s, "ClientThatStopsReadingStallsOnlyItself");
+  ServerConfig config;
+  config.cpu_workers = 2;
+  Server server(config);
+  ASSERT_TRUE(server.start());
+  rebootctl::Client b = connect_client(server);
+  const double overflows = server_counter(b, "net.outbox_overflow");
+
+  net::Socket a = net::connect_to("127.0.0.1", server.port());
+  ASSERT_TRUE(a.valid());
+  std::atomic<bool> a_cut{false};
+  std::uint64_t a_sent = 0;
+  std::thread flood([&] {
+    // A never reads, so one frame sent over and over (same id) will do.
+    const std::string frame =
+        net::encode_request(from_tenant(padded_echo(1, 400), "a"));
+    while (net::write_frame(a, frame)) ++a_sent;
+    a_cut.store(true);
+  });
+
+  std::vector<Clock::duration> latencies;
+  while (!a_cut.load() || latencies.size() < 50) {
+    const std::uint64_t id = latencies.size() + 1;
+    const net::Request echo = from_tenant(submit_work(id, "echo"), "b");
+    const auto start = Clock::now();
+    const auto resp = b.call(echo);
+    latencies.push_back(Clock::now() - start);
+    ASSERT_TRUE(resp.has_value()) << "call " << id;
+    EXPECT_EQ(resp->id, id);
+    // A's flood may fill the queue to its high-water mark: an overloaded
+    // answer is still an answer.
+    EXPECT_TRUE(resp->status == net::Status::kOk ||
+                resp->status == net::Status::kOverloaded)
+        << "call " << id << ": " << net::to_string(resp->status);
+  }
+  flood.join();
+  expect_replies_keep_arriving(std::move(latencies));
+  EXPECT_GE(server_counter(b, "net.outbox_overflow"), overflows + 1.0);
+
+  std::size_t a_replies = 0;
+  const net::FrameRead end = read_to_end(a, &a_replies);
+  EXPECT_TRUE(end == net::FrameRead::kEof || end == net::FrameRead::kError);
+  EXPECT_LT(a_replies, a_sent);
+  server.stop();
+}
+
+// The same for a `watch` subscriber: W opens 64 subscriptions (a metrics
+// frame each every 20 ms) and never reads. B's calls keep their 50 ms, the
+// server shuts W's connection once its outbox passes the cap, W reads to
+// EOF or a reset, and stop() returns.
+TEST(Service, WatchSubscriberThatStopsReadingStallsOnlyItself) {
+  Watchdog watchdog(120s, "WatchSubscriberThatStopsReadingStallsOnlyItself");
+  ServerConfig config;
+  config.cpu_workers = 2;
+  Server server(config);
+  ASSERT_TRUE(server.start());
+  rebootctl::Client b = connect_client(server);
+  const double overflows = server_counter(b, "net.outbox_overflow");
+
+  net::Socket w = net::connect_to("127.0.0.1", server.port());
+  ASSERT_TRUE(w.valid());
+  for (std::uint64_t id = 1; id <= 64; ++id)
+    ASSERT_TRUE(
+        net::write_frame(w, net::encode_request(watch_request(id, 20.0))));
+
+  std::vector<Clock::duration> latencies;
+  bool cut = false;
+  while (!cut || latencies.size() < 50) {
+    const std::uint64_t id = latencies.size() + 1;
+    const auto start = Clock::now();
+    const auto resp = b.call(submit_work(id, "echo"));
+    latencies.push_back(Clock::now() - start);
+    ASSERT_TRUE(resp.has_value()) << "call " << id;
+    EXPECT_EQ(resp->status, net::Status::kOk);
+    if (id % 10 == 0)
+      cut = server_counter(b, "net.outbox_overflow") >= overflows + 1.0;
+  }
+  expect_replies_keep_arriving(std::move(latencies));
+
+  std::size_t frames = 0;  // none, if the cap fell before the first write
+  const net::FrameRead end = read_to_end(w, &frames);
+  EXPECT_TRUE(end == net::FrameRead::kEof || end == net::FrameRead::kError);
+  server.stop();
+}
+
+// --- a reader that holds more than its socket takes ------------------------
+
+/// Echo submits of 32 KiB each, pipelined on one connection: 6 MiB of
+/// replies, more than loopback's socket buffers hold for a peer that reads
+/// none of them (~4 MiB here) and less than those buffers plus the outbox
+/// cap. So a client that stops reading leaves its reader holding a
+/// part-written batch with more replies queued behind it, and is not cut off.
+constexpr std::uint64_t kBigReplies = 192;
+
+void pipeline_big_echoes(net::Socket& sock) {
+  for (std::uint64_t id = 1; id <= kBigReplies; ++id)
+    ASSERT_TRUE(net::write_frame(
+        sock, net::encode_request(padded_echo(id, 32 * 1024))));
+}
+
+/// Calls `status` until `ready` holds of its body; false if it never did
+/// within 10 s.
+template <typename Ready>
+bool wait_for_status(rebootctl::Client& probe, Ready ready) {
+  net::Request status;
+  status.id = 1;
+  status.method = "status";
+  for (const auto give_up = Clock::now() + 10s; Clock::now() < give_up;
+       std::this_thread::sleep_for(2ms)) {
+    const auto resp = probe.call(status);
+    if (resp && resp->body.is_object() && ready(resp->body)) return true;
+  }
+  return false;
+}
+
+/// Reads kBigReplies replies and checks that each id came back once, ok.
+void expect_every_big_reply(net::Socket& sock) {
+  std::vector<int> seen(kBigReplies + 1, 0);
+  std::string frame;
+  for (std::uint64_t i = 0; i < kBigReplies; ++i) {
+    ASSERT_EQ(net::read_frame(sock, &frame, net::kMaxFrameBytes),
+              net::FrameRead::kFrame)
+        << "after " << i << " of " << kBigReplies << " replies";
+    const auto resp = net::decode_response(frame);
+    ASSERT_TRUE(resp.has_value());
+    EXPECT_EQ(resp->status, net::Status::kOk) << "id " << resp->id;
+    ASSERT_TRUE(resp->id >= 1 && resp->id <= kBigReplies) << resp->id;
+    ++seen[resp->id];
+  }
+  for (std::uint64_t id = 1; id <= kBigReplies; ++id)
+    EXPECT_EQ(seen[id], 1) << "id " << id;
+}
+
+// The client pipelines its submits and reads nothing for 0.5 s, so replies
+// that settle while a batch is part-written queue behind it. Once the client
+// reads, every reply must arrive: a reader that takes its queue only when
+// woken leaves it there for good, and this client would wait forever.
+TEST(Service, RepliesQueuedBehindAFullSocketAllArrive) {
+  Watchdog watchdog(60s, "RepliesQueuedBehindAFullSocketAllArrive");
+  ServerConfig config;
+  config.cpu_workers = 2;
+  Server server(config);
+  ASSERT_TRUE(server.start());
+  net::Socket c = net::connect_to("127.0.0.1", server.port());
+  ASSERT_TRUE(c.valid());
+  ASSERT_NO_FATAL_FAILURE(pipeline_big_echoes(c));
+  std::this_thread::sleep_for(500ms);
+  ASSERT_NO_FATAL_FAILURE(expect_every_big_reply(c));
+  server.stop();
+}
+
+// The same with a client that half-closes after its last submit: its reader
+// reads EOF while it still holds replies, writes them all, and only then
+// closes, so the client reads every reply and then EOF.
+TEST(Service, HalfClosedClientGetsEveryQueuedReply) {
+  Watchdog watchdog(60s, "HalfClosedClientGetsEveryQueuedReply");
+  ServerConfig config;
+  config.cpu_workers = 2;
+  Server server(config);
+  ASSERT_TRUE(server.start());
+  net::Socket c = net::connect_to("127.0.0.1", server.port());
+  ASSERT_TRUE(c.valid());
+  ASSERT_NO_FATAL_FAILURE(pipeline_big_echoes(c));
+  ASSERT_EQ(::shutdown(c.fd(), SHUT_WR), 0);
+  std::this_thread::sleep_for(500ms);
+  ASSERT_NO_FATAL_FAILURE(expect_every_big_reply(c));
+  std::size_t extra = 0;
+  EXPECT_EQ(read_to_end(c, &extra), net::FrameRead::kEof);
+  EXPECT_EQ(extra, 0u);
+  server.stop();
+}
+
+/// stop() with a client that reads nothing holding part of its replies,
+/// then what reached it: EOF or a reset, after at most `sent` frames.
+void expect_stop_returns(Server& server, net::Socket& client,
+                         std::uint64_t sent) {
+  const auto start = Clock::now();
+  server.stop();
+  EXPECT_LT(Clock::now() - start, 10s);
+  std::size_t frames = 0;
+  const net::FrameRead end = read_to_end(client, &frames);
+  EXPECT_TRUE(end == net::FrameRead::kEof || end == net::FrameRead::kError);
+  EXPECT_LE(frames, sent);
+}
+
+// stop() returns even while a client that never reads is owed replies: its
+// reader gives up on an outbox the peer takes no byte of for a while. Where
+// the socket buffers are larger than here, the reader simply writes
+// everything.
+TEST(Service, StopReturnsWhileAClientIgnoresItsReplies) {
+  Watchdog watchdog(60s, "StopReturnsWhileAClientIgnoresItsReplies");
+  ServerConfig config;
+  config.cpu_workers = 2;
+  Server server(config);
+  ASSERT_TRUE(server.start());
+  net::Socket c = net::connect_to("127.0.0.1", server.port());
+  ASSERT_TRUE(c.valid());
+  ASSERT_NO_FATAL_FAILURE(pipeline_big_echoes(c));
+  rebootctl::Client probe = connect_client(server);
+  EXPECT_TRUE(wait_for_status(probe, [](const core::JsonValue& body) {
+    return body.at("submitted").number() >= kBigReplies;
+  }));
+  expect_stop_returns(server, c, kBigReplies);
+}
+
+// The same with a 2 s spin still running at stop(): the reader is owed its
+// reply, so it keeps waiting to write. The spin's reply, queued behind the
+// unwritten ones during Scheduler::shutdown(), settles the last thing the
+// reader is owed; that must wake it, or stop() never returns.
+TEST(Service, StopReturnsWhileAClientIgnoresItsRepliesAndAJobRuns) {
+  Watchdog watchdog(60s,
+                    "StopReturnsWhileAClientIgnoresItsRepliesAndAJobRuns");
+  ServerConfig config;
+  config.cpu_workers = 2;
+  Server server(config);
+  ASSERT_TRUE(server.start());
+  net::Socket c = net::connect_to("127.0.0.1", server.port());
+  ASSERT_TRUE(c.valid());
+  ASSERT_TRUE(net::write_frame(
+      c, net::encode_request(submit_spin(kBigReplies + 1, 2'000'000.0))));
+  ASSERT_NO_FATAL_FAILURE(pipeline_big_echoes(c));
+  rebootctl::Client probe = connect_client(server);
+  // Every echo settled, the spin still running.
+  EXPECT_TRUE(wait_for_status(probe, [](const core::JsonValue& body) {
+    return body.at("submitted").number() >= kBigReplies + 1 &&
+           body.at("outstanding").number() <= 1;
+  }));
+  expect_stop_returns(server, c, kBigReplies + 1);
+}
+
+// The same for a `watch` subscriber below the cap: its echo replies fill
+// the socket, then it subscribes (a frame every 20 ms) and reads nothing.
+// The terminal frame stop() owes it lands behind the queued frames, and it
+// must still let the reader go.
+TEST(Service, StopReturnsWhileAWatcherIgnoresItsFrames) {
+  Watchdog watchdog(60s, "StopReturnsWhileAWatcherIgnoresItsFrames");
+  ServerConfig config;
+  config.cpu_workers = 2;
+  Server server(config);
+  ASSERT_TRUE(server.start());
+  rebootctl::Client probe = connect_client(server);
+  const double subscribed = server_counter(probe, "net.watch_subscribed");
+  net::Socket w = net::connect_to("127.0.0.1", server.port());
+  ASSERT_TRUE(w.valid());
+  ASSERT_NO_FATAL_FAILURE(pipeline_big_echoes(w));
+  ASSERT_TRUE(net::write_frame(
+      w, net::encode_request(watch_request(kBigReplies + 1, 20.0))));
+  EXPECT_TRUE(wait_for_status(probe, [](const core::JsonValue& body) {
+    return body.at("submitted").number() >= kBigReplies &&
+           body.at("outstanding").number() == 0;
+  }));
+  for (const auto give_up = Clock::now() + 10s;
+       server_counter(probe, "net.watch_subscribed") < subscribed + 1.0 &&
+       Clock::now() < give_up;)
+    std::this_thread::sleep_for(2ms);
+  std::this_thread::sleep_for(100ms);  // a few frames queue behind the rest
+  expect_stop_returns(server, w, std::numeric_limits<std::uint64_t>::max());
 }
 
 // --- tenancy unit tests ---------------------------------------------------
