@@ -17,15 +17,17 @@
 //            "status"    full ops snapshot (scheduler pools, tenants,
 //                        latency quantiles, net.* counters)
 //            "metrics"   one full registry snapshot: counters, gauges,
-//                        histogram quantiles, counter rates from the
-//                        server's telemetry::Sampler, Scheduler::stats()
+//                        histogram quantiles, counter rates since the
+//                        server's previous sample, Scheduler::stats()
 //            "watch"     server-push subscription: the server immediately
 //                        answers with one `metrics`-shaped frame marked
 //                        "streaming":true, then keeps pushing one frame per
 //                        params.interval_ms (default 500, clamped to
 //                        [20, 60000]) until the client closes or the server
-//                        stops — the terminal frame (streaming absent) is
-//                        the subscription's *response* in the
+//                        stops; each later frame's rates cover the time
+//                        since the subscription's previous frame. The
+//                        terminal frame (streaming absent) is the
+//                        subscription's *response* in the
 //                        one-response-per-request accounting sense
 //            "submit"    run workload `work` on the `kind` pool
 //            "shutdown"  ask the daemon to stop (it finishes the reply first)

@@ -61,7 +61,7 @@ struct PoolRow {
 /// Everything one table row set / one JSON shard entry needs, extracted from
 /// a `watch` frame body (and the previous frame, for client-side scheduler
 /// rates — those counters live in Scheduler::stats(), not the registry, so
-/// the server's sampler cannot rate them for us).
+/// the server cannot rate them for us).
 struct ShardView {
   std::string shard;
   bool ok = false;

@@ -15,10 +15,11 @@
 //                    (the shape service_smoke.sh asserts on), exit 0 iff
 //                    every shard answered.
 //
-// Rates: counter rates (req/s) come from the server's sampler
-// (body.rates.per_second); scheduler slice/preempt/steal rates are computed
-// client-side from consecutive frames, since Scheduler::stats() counters
-// live outside the metrics registry.
+// Rates: counter rates (req/s) come from the server (body.rates.per_second:
+// a first frame's since the server's previous sample, a later frame's since
+// the subscription's previous frame); scheduler slice/preempt/steal rates
+// are computed client-side from consecutive frames, since
+// Scheduler::stats() counters live outside the metrics registry.
 #pragma once
 
 #include <string>

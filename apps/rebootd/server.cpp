@@ -25,13 +25,16 @@ constexpr std::size_t kReadChunkBytes = 64 * 1024;
 /// client that never reads cannot hold stop() forever.
 constexpr int kStopFlushTimeoutMs = 1000;
 
+/// Consecutive failures that open a worker's circuit breaker.
+constexpr std::size_t kBreakerThreshold = 8;
+
 sched::SchedulerConfig scheduler_config(const ServerConfig& config) {
   sched::SchedulerConfig sc;
   sc.queue_capacity = config.queue_capacity;
   // kReject, never kBlock: a reader thread must answer "overloaded" and move
   // to its next frame, not sleep inside submit holding the connection.
   sc.backpressure = sched::BackpressurePolicy::kReject;
-  sc.breaker.failure_threshold = config.breaker_threshold;
+  sc.breaker.failure_threshold = kBreakerThreshold;
   // Every rebootd workload is self-contained (cpu_fallback is uniformly on),
   // so jobs are marked stealable and idle pools may drain overloaded ones.
   sc.work_stealing = true;
@@ -83,18 +86,19 @@ net::Response response_of(const core::JobResult& result,
   return resp;
 }
 
+core::JsonValue num(core::Real v) { return core::JsonValue::make_number(v); }
+core::JsonValue num(std::uint64_t v) {
+  return num(static_cast<core::Real>(v));
+}
+
 core::JsonValue json_of_pool(const sched::PoolStats& pool) {
   core::JsonValue::Members m;
-  const auto num = [](std::size_t v) {
-    return core::JsonValue::make_number(static_cast<core::Real>(v));
-  };
   m.emplace_back("workers", num(pool.workers));
   m.emplace_back("queue_depth", num(pool.queue_depth));
   m.emplace_back("queue_capacity", num(pool.queue_capacity));
   m.emplace_back("in_flight", num(pool.in_flight));
   m.emplace_back("jobs_completed", num(pool.jobs_completed));
-  m.emplace_back("busy_seconds",
-                 core::JsonValue::make_number(pool.busy_seconds));
+  m.emplace_back("busy_seconds", num(pool.busy_seconds));
   m.emplace_back("breakers_open", num(pool.breakers_open));
   return core::JsonValue::make_object(std::move(m));
 }
@@ -103,9 +107,6 @@ core::JsonValue json_of_pool(const sched::PoolStats& pool) {
 /// DMM-solve, and scheduler-memo caches each report their counters, keyed by
 /// their registry name.
 core::JsonValue json_of_caches() {
-  const auto num = [](std::uint64_t v) {
-    return core::JsonValue::make_number(static_cast<core::Real>(v));
-  };
   core::JsonValue::Members caches;
   for (const auto& [name, stats] : core::cache_stats_snapshot()) {
     core::JsonValue::Members c;
@@ -121,16 +122,37 @@ core::JsonValue json_of_caches() {
   return core::JsonValue::make_object(std::move(caches));
 }
 
+/// The blocks `status` and `metrics` share: whether the scheduler accepts
+/// work, the jobs it has outstanding, its time-slicing (DESIGN.md §12) and
+/// memo counters, the result caches, and each pool.
+void append_scheduler_blocks(core::JsonValue::Members& body,
+                             const sched::SchedulerStats& stats) {
+  body.emplace_back("accepting", core::JsonValue::make_bool(stats.accepting));
+  body.emplace_back("outstanding", num(stats.outstanding));
+  core::JsonValue::Members sched;
+  sched.emplace_back("slices", num(stats.slices));
+  sched.emplace_back("preempts", num(stats.preempts));
+  sched.emplace_back("resumes", num(stats.resumes));
+  sched.emplace_back("steals", num(stats.steals));
+  sched.emplace_back("memo_hits", num(stats.memo_hits));
+  sched.emplace_back("memo_riders", num(stats.memo_riders));
+  body.emplace_back("sched", core::JsonValue::make_object(std::move(sched)));
+  body.emplace_back("cache", json_of_caches());
+  core::JsonValue::Members pools;
+  for (const auto& [kind, pool] : stats.pools)
+    pools.emplace_back(core::to_string(kind), json_of_pool(pool));
+  body.emplace_back("pools", core::JsonValue::make_object(std::move(pools)));
+}
+
 }  // namespace
 
 Server::Server(ServerConfig config)
     : config_(std::move(config)),
       scheduler_(scheduler_config(config_)),
-      governor_(config_.tenancy),
-      sampler_(telemetry::Telemetry::instance().metrics()) {
+      governor_(config_.tenancy) {
   if (config_.admission_high_water == 0)
     config_.admission_high_water = config_.queue_capacity;
-  if (config_.enable_telemetry) telemetry::Telemetry::set_enabled(true);
+  telemetry::Telemetry::set_enabled(true);
   scheduler_.add_pool(core::AcceleratorKind::kClassicalCpu,
                       config_.cpu_workers, core::CpuAccelerator::factory());
 }
@@ -150,11 +172,6 @@ bool Server::start(std::string* error) {
   }
   port_ = listener_.port();
   accept_thread_ = std::thread([this] { accept_loop(); });
-  {
-    std::lock_guard lock(watch_mutex_);
-    watch_closed_ = false;
-  }
-  watch_thread_ = std::thread([this] { watch_loop(); });
   return true;
 }
 
@@ -168,8 +185,9 @@ void Server::stop() {
   listener_.close();
 
   // 2. No new requests: shut every read side and wake its reader. The
-  //    reader stops reading; from then on it only writes what its
-  //    connection is owed.
+  //    reader stops reading and queues each of its watch subscriptions'
+  //    terminal kShuttingDown frame (the subscription's one *response*);
+  //    from then on it only writes what its connection is owed.
   {
     std::lock_guard lock(readers_mutex_);
     for (auto& slot : readers_) {
@@ -178,23 +196,12 @@ void Server::stop() {
     }
   }
 
-  // 3. Close the watch thread: it queues each subscriber's terminal
-  //    kShuttingDown frame (the subscription's one *response*) and exits.
-  //    A reader still handling a `watch` frame answers it terminally
-  //    itself once watch_closed_ is set.
-  {
-    std::lock_guard lock(watch_mutex_);
-    watch_closed_ = true;
-  }
-  watch_cv_.notify_all();
-  if (watch_thread_.joinable()) watch_thread_.join();
-
-  // 4. Settle every accepted job: in-flight work finishes, queued work is
+  // 3. Settle every accepted job: in-flight work finishes, queued work is
   //    flushed (kFlushed -> kShuttingDown on the wire). When this returns,
   //    every completion hook has queued its reply.
   scheduler_.shutdown();
 
-  // 5. Each reader exits once its outbox is written (or after its peer took
+  // 4. Each reader exits once its outbox is written (or after its peer took
   //    no byte for kStopFlushTimeoutMs); join them.
   reap_readers(/*all=*/true);
 }
@@ -284,6 +291,15 @@ void Server::reader_loop(std::shared_ptr<Connection> conn,
 
   bool reading = true;
   for (;;) {
+    // Watch frames go into the outbox before it is taken below. Once stop()
+    // has begun, each subscription gets its terminal frame instead.
+    int watch_timeout_ms = -1;
+    if (running_.load(std::memory_order_acquire)) {
+      watch_timeout_ms = serve_watches(c);
+    } else {
+      reading = false;
+      end_watches(c);
+    }
     bool owes = false, queued = false;
     {
       std::lock_guard lock(c.mutex);
@@ -299,15 +315,15 @@ void Server::reader_loop(std::shared_ptr<Connection> conn,
       queued = !c.outbox.empty();
     }
     if (written < out.size() && !write_out()) break;
-    if (!running_.load(std::memory_order_acquire)) reading = false;
     const bool pending = written < out.size();
     // Frames queued while a batch was part-written sent no wake (push
     // wakes only an empty outbox): take them now the batch is out.
     if (!pending && queued) continue;
-    // Only this thread adds to `owed` (handle_submit, handle_watch), so
-    // once it stops reading, nothing owed and nothing pending (nor, by the
-    // line above, queued) is final.
-    if (!reading && !owes && !pending) break;
+    // Only this thread adds to `owed` (handle_submit) and to its watches
+    // (handle_watch), so once it stops reading, nothing owed, no watch and
+    // nothing pending (nor, by the line above, queued) is final. A watch
+    // keeps a half-closed client's connection streaming until stop().
+    if (!reading && !owes && !pending && c.watches.empty()) break;
 
     pollfd fds[2] = {
         {c.socket.fd(),
@@ -316,9 +332,10 @@ void Server::reader_loop(std::shared_ptr<Connection> conn,
         {c.wake.fd(), POLLIN, 0}};
     const bool flushing_at_stop =
         !reading && !owes && !running_.load(std::memory_order_acquire);
-    const int ready =
-        ::poll(fds, 2, flushing_at_stop ? kStopFlushTimeoutMs : -1);
-    if (ready == 0) break;  // stop(): the peer took nothing for too long
+    const int ready = ::poll(
+        fds, 2, flushing_at_stop ? kStopFlushTimeoutMs : watch_timeout_ms);
+    // stop(): the peer took nothing for too long. Otherwise a watch is due.
+    if (ready == 0 && flushing_at_stop) break;
     if (ready < 0) {
       if (errno == EINTR) continue;
       break;
@@ -336,6 +353,7 @@ void Server::reader_loop(std::shared_ptr<Connection> conn,
     c.outbox.clear();
     c.frames.clear();
   }
+  c.watches.clear();
   c.socket.shutdown_both();
   TELEM_GAUGE("net.connections_active",
               static_cast<core::Real>(
@@ -447,12 +465,13 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
     return;
   }
   if (req->method == "metrics") {
+    const auto [sample, previous] = sample_registry();
     net::Response resp;
     resp.id = req->id;
     resp.trace_id = req->trace_id;
     resp.status = net::Status::kOk;
     resp.summary = "metrics";
-    resp.body = metrics_body();
+    resp.body = metrics_body(*sample, previous.get());
     conn->push(resp);
     return;
   }
@@ -630,51 +649,15 @@ net::Response Server::status_response(const net::Request& req) const {
 
   const sched::SchedulerStats stats = scheduler_.stats();
   core::JsonValue::Members body;
-  body.emplace_back("accepting", core::JsonValue::make_bool(stats.accepting));
-  body.emplace_back("submitted",
-                    core::JsonValue::make_number(
-                        static_cast<core::Real>(stats.submitted)));
-  body.emplace_back("outstanding",
-                    core::JsonValue::make_number(
-                        static_cast<core::Real>(stats.outstanding)));
-
-  // Time-slicing counters (DESIGN.md §12): slices executed, preemptions,
-  // resumes, and cross-pool steals since the scheduler started.
-  core::JsonValue::Members sched;
-  sched.emplace_back("slices", core::JsonValue::make_number(
-                                   static_cast<core::Real>(stats.slices)));
-  sched.emplace_back("preempts", core::JsonValue::make_number(
-                                     static_cast<core::Real>(stats.preempts)));
-  sched.emplace_back("resumes", core::JsonValue::make_number(
-                                    static_cast<core::Real>(stats.resumes)));
-  sched.emplace_back("steals", core::JsonValue::make_number(
-                                   static_cast<core::Real>(stats.steals)));
-  sched.emplace_back("memo_hits",
-                     core::JsonValue::make_number(
-                         static_cast<core::Real>(stats.memo_hits)));
-  sched.emplace_back("memo_riders",
-                     core::JsonValue::make_number(
-                         static_cast<core::Real>(stats.memo_riders)));
-  body.emplace_back("sched", core::JsonValue::make_object(std::move(sched)));
-  body.emplace_back("cache", json_of_caches());
-
-  core::JsonValue::Members pools;
-  for (const auto& [kind, pool] : stats.pools)
-    pools.emplace_back(core::to_string(kind), json_of_pool(pool));
-  body.emplace_back("pools", core::JsonValue::make_object(std::move(pools)));
+  body.emplace_back("submitted", num(stats.submitted));
+  append_scheduler_blocks(body, stats);
 
   core::JsonValue::Members tenants;
   for (const auto& [tenant, ts] : governor_.stats()) {
     core::JsonValue::Members t;
-    t.emplace_back("in_flight",
-                   core::JsonValue::make_number(
-                       static_cast<core::Real>(ts.in_flight)));
-    t.emplace_back("admitted",
-                   core::JsonValue::make_number(
-                       static_cast<core::Real>(ts.admitted)));
-    t.emplace_back("rejected",
-                   core::JsonValue::make_number(
-                       static_cast<core::Real>(ts.rejected)));
+    t.emplace_back("in_flight", num(ts.in_flight));
+    t.emplace_back("admitted", num(ts.admitted));
+    t.emplace_back("rejected", num(ts.rejected));
     tenants.emplace_back(tenant, core::JsonValue::make_object(std::move(t)));
   }
   body.emplace_back("tenants",
@@ -685,14 +668,10 @@ net::Response Server::status_response(const net::Request& req) const {
   const telemetry::HistogramSnapshot latency =
       registry.histogram("net.request_seconds");
   core::JsonValue::Members lat;
-  lat.emplace_back("count", core::JsonValue::make_number(
-                                static_cast<core::Real>(latency.count)));
-  lat.emplace_back("mean_seconds",
-                   core::JsonValue::make_number(latency.mean()));
-  lat.emplace_back("p50_seconds",
-                   core::JsonValue::make_number(latency.quantile(0.5)));
-  lat.emplace_back("p99_seconds",
-                   core::JsonValue::make_number(latency.quantile(0.99)));
+  lat.emplace_back("count", num(latency.count));
+  lat.emplace_back("mean_seconds", num(latency.mean()));
+  lat.emplace_back("p50_seconds", num(latency.quantile(0.5)));
+  lat.emplace_back("p99_seconds", num(latency.quantile(0.99)));
   body.emplace_back("latency", core::JsonValue::make_object(std::move(lat)));
 
   core::JsonValue::Members counters;
@@ -701,8 +680,7 @@ net::Response Server::status_response(const net::Request& req) const {
         "net.rejected_overloaded", "net.rejected_quota", "net.bad_request",
         "net.frame_errors", "net.frame_oversized", "net.bytes_in",
         "net.bytes_out"})
-    counters.emplace_back(
-        name, core::JsonValue::make_number(registry.counter(name)));
+    counters.emplace_back(name, num(registry.counter(name)));
   body.emplace_back("counters",
                     core::JsonValue::make_object(std::move(counters)));
 
@@ -710,12 +688,19 @@ net::Response Server::status_response(const net::Request& req) const {
   return resp;
 }
 
-core::JsonValue Server::metrics_body() {
-  const auto num = [](core::Real v) { return core::JsonValue::make_number(v); };
+std::pair<Server::SamplePtr, Server::SamplePtr> Server::sample_registry() {
+  // Sampled under the lock: a sample taken later always replaces one taken
+  // earlier, whichever reader finishes first.
+  std::lock_guard lock(sample_mutex_);
+  auto sample = std::make_shared<const telemetry::MetricsSample>(
+      telemetry::take_sample(telemetry::Telemetry::instance().metrics(),
+                             epoch_));
+  return {sample, std::exchange(last_sample_, sample)};
+}
 
-  const telemetry::MetricsSample sample = sampler_.tick();
-  const telemetry::MetricsRates rates = sampler_.rates();
-
+core::JsonValue Server::metrics_body(
+    const telemetry::MetricsSample& sample,
+    const telemetry::MetricsSample* older) const {
   core::JsonValue::Members body;
   body.emplace_back("t_seconds", num(sample.t_seconds));
 
@@ -730,8 +715,11 @@ core::JsonValue Server::metrics_body() {
     gauges.emplace_back(name, num(value));
   body.emplace_back("gauges", core::JsonValue::make_object(std::move(gauges)));
 
-  // Counter deltas over the last sampling interval, normalized to /s — the
-  // "is it busy right now" signal a monotonic counter cannot give.
+  // Counter deltas since the older sample, normalized to /s — the "is it
+  // busy right now" signal a monotonic counter cannot give.
+  const telemetry::MetricsRates rates =
+      older ? telemetry::rates_between(*older, sample)
+            : telemetry::MetricsRates{};
   core::JsonValue::Members rate_members;
   rate_members.emplace_back("dt_seconds", num(rates.dt_seconds));
   core::JsonValue::Members per_second;
@@ -745,7 +733,7 @@ core::JsonValue Server::metrics_body() {
   core::JsonValue::Members histograms;
   for (const auto& [name, h] : sample.histograms) {
     core::JsonValue::Members hm;
-    hm.emplace_back("count", num(static_cast<core::Real>(h.count)));
+    hm.emplace_back("count", num(h.count));
     hm.emplace_back("mean", num(h.mean()));
     hm.emplace_back("p50", num(h.quantile(0.5)));
     hm.emplace_back("p90", num(h.quantile(0.9)));
@@ -756,27 +744,7 @@ core::JsonValue Server::metrics_body() {
   body.emplace_back("histograms",
                     core::JsonValue::make_object(std::move(histograms)));
 
-  const sched::SchedulerStats stats = scheduler_.stats();
-  body.emplace_back("accepting", core::JsonValue::make_bool(stats.accepting));
-  body.emplace_back("outstanding",
-                    num(static_cast<core::Real>(stats.outstanding)));
-  core::JsonValue::Members sched;
-  sched.emplace_back("slices", num(static_cast<core::Real>(stats.slices)));
-  sched.emplace_back("preempts", num(static_cast<core::Real>(stats.preempts)));
-  sched.emplace_back("resumes", num(static_cast<core::Real>(stats.resumes)));
-  sched.emplace_back("steals", num(static_cast<core::Real>(stats.steals)));
-  sched.emplace_back("memo_hits",
-                     num(static_cast<core::Real>(stats.memo_hits)));
-  sched.emplace_back("memo_riders",
-                     num(static_cast<core::Real>(stats.memo_riders)));
-  body.emplace_back("sched", core::JsonValue::make_object(std::move(sched)));
-  body.emplace_back("cache", json_of_caches());
-
-  core::JsonValue::Members pools;
-  for (const auto& [kind, pool] : stats.pools)
-    pools.emplace_back(core::to_string(kind), json_of_pool(pool));
-  body.emplace_back("pools", core::JsonValue::make_object(std::move(pools)));
-
+  append_scheduler_blocks(body, scheduler_.stats());
   return core::JsonValue::make_object(std::move(body));
 }
 
@@ -798,101 +766,64 @@ void Server::handle_watch(const std::shared_ptr<Connection>& conn,
   }
   interval_ms = std::min(60000.0, std::max(20.0, interval_ms));
 
-  // First frame synchronously, so `rebootctl top --once` gets its answer in
-  // one round trip instead of one watch interval.
-  net::Response first;
-  first.id = req.id;
-  first.trace_id = req.trace_id;
-  first.status = net::Status::kOk;
-  first.summary = "watch";
-  first.streaming = true;
-  first.body = metrics_body();
-  conn->push(first);
-
   WatchSub sub;
-  sub.conn = conn;
   sub.wire_id = req.id;
   sub.trace_id = req.trace_id;
-  sub.interval_ms = interval_ms;
-  sub.next_due = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                    std::chrono::duration<double, std::milli>(
-                                        interval_ms));
-  {
-    std::lock_guard lock(watch_mutex_);
-    if (watch_closed_) {
-      // stop() already passed the watch teardown; answer terminally now
-      // rather than registering a subscriber nobody will ever close.
-      net::Response resp;
-      resp.id = req.id;
-      resp.trace_id = req.trace_id;
-      resp.status = net::Status::kShuttingDown;
-      resp.summary = "watch closed: server stopping";
-      conn->push(resp);
-      return;
-    }
-    // Owed before the watch thread can see the subscription, whose
-    // terminal frame settles it.
-    conn->owe();
-    watchers_.push_back(std::move(sub));
-  }
-  watch_cv_.notify_all();
+  sub.interval = std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double, std::milli>(interval_ms));
+  // First frame synchronously, so `rebootctl top --once` gets its answer in
+  // one round trip instead of one watch interval. Its rates are measured
+  // against the server's previous sample, so a `metrics` call ahead of the
+  // subscription sets their window.
+  auto [sample, previous] = sample_registry();
+  sub.last = std::move(previous);
+  conn->push(watch_frame(sub, std::move(sample)));
+  conn->watches.push_back(std::move(sub));
   TELEM_COUNT("net.watch_subscribed");
 }
 
-void Server::watch_loop() {
-  telemetry::TraceRecorder::instance().set_thread_name("net watch");
-  std::unique_lock lock(watch_mutex_);
-  while (!watch_closed_) {
-    if (watchers_.empty()) {
-      watch_cv_.wait(lock,
-                     [this] { return watch_closed_ || !watchers_.empty(); });
-      continue;
+net::Response Server::watch_frame(WatchSub& sub, SamplePtr sample) {
+  net::Response frame;
+  frame.id = sub.wire_id;
+  frame.trace_id = sub.trace_id;
+  frame.status = net::Status::kOk;
+  frame.summary = "watch";
+  frame.streaming = true;
+  frame.body = metrics_body(*sample, sub.last.get());
+  sub.last = std::move(sample);
+  // Due one interval from now: a reader that was held up catches up with
+  // one frame, not a burst of back-dated ones.
+  sub.next_due = Clock::now() + sub.interval;
+  return frame;
+}
+
+int Server::serve_watches(Connection& c) {
+  if (c.watches.empty()) return -1;
+  const auto now = Clock::now();
+  SamplePtr sample;  // one registry sample for every subscription due now
+  auto next_due = Clock::time_point::max();
+  for (WatchSub& sub : c.watches) {
+    if (sub.next_due <= now) {
+      if (!sample) sample = sample_registry().first;
+      c.push(watch_frame(sub, sample));
     }
-    Clock::time_point due = watchers_.front().next_due;
-    for (const WatchSub& sub : watchers_) due = std::min(due, sub.next_due);
-    if (watch_cv_.wait_until(lock, due, [this] { return watch_closed_; }))
-      break;
-
-    const auto now = Clock::now();
-    bool any_due = false;
-    for (const WatchSub& sub : watchers_)
-      any_due = any_due || sub.next_due <= now;
-    if (!any_due) continue;  // spurious wake or a new earlier subscriber
-
-    // One sampler tick serves every due subscriber this wake; ticking per
-    // subscriber would skew rates with near-zero dt samples.
-    const core::JsonValue body = metrics_body();
-    // A closed connection ends the subscription: its client is gone or was
-    // cut off at the outbox cap, and nobody is owed the terminal frame.
-    std::erase_if(watchers_, [&](WatchSub& sub) {
-      if (sub.next_due > now) return false;
-      net::Response frame;
-      frame.id = sub.wire_id;
-      frame.trace_id = sub.trace_id;
-      frame.status = net::Status::kOk;
-      frame.summary = "watch";
-      frame.streaming = true;
-      frame.body = body;
-      const auto interval = std::chrono::duration_cast<Clock::duration>(
-          std::chrono::duration<double, std::milli>(sub.interval_ms));
-      // Re-anchor on `now`: a stalled thread catches up with one frame,
-      // not a burst of back-dated ones.
-      sub.next_due = now + interval;
-      return !sub.conn->push(frame);
-    });
+    next_due = std::min(next_due, sub.next_due);
   }
+  const auto wait =
+      std::chrono::ceil<std::chrono::milliseconds>(next_due - Clock::now());
+  return static_cast<int>(std::max<std::int64_t>(0, wait.count()));
+}
 
-  // Teardown: one terminal (non-streaming) frame per surviving subscriber —
-  // the stream's single *response* in the accounting sense.
-  for (const WatchSub& sub : watchers_) {
+void Server::end_watches(Connection& c) {
+  for (const WatchSub& sub : c.watches) {
     net::Response resp;
     resp.id = sub.wire_id;
     resp.trace_id = sub.trace_id;
     resp.status = net::Status::kShuttingDown;
     resp.summary = "watch closed: server stopping";
-    sub.conn->push(resp, OutFrame(), /*settles=*/true);
+    c.push(resp);
   }
-  watchers_.clear();
+  c.watches.clear();
 }
 
 }  // namespace rebooting::rebootd

@@ -11,7 +11,10 @@
 //                      (quota, then queue high-water) -> Scheduler::submit,
 //                      and writes the connection's outbox. Submission uses
 //                      kReject backpressure, so a reader never sleeps on a
-//                      full queue: the overload answer is a typed frame.
+//                      full queue: the overload answer is a typed frame. It
+//                      also serves its connection's `watch` subscriptions:
+//                      its poll times out when the next one is due, and one
+//                      registry sample feeds every subscription due then.
 //   scheduler workers  each submit carries a completion hook. On whichever
 //                      thread settles the job (a worker; the reader itself
 //                      on a memo hit or a rejection; stop() on a flush), the
@@ -19,9 +22,6 @@
 //                      encodes the response, appends it to the connection's
 //                      outbox and wakes the reader. So a reply leaves as
 //                      soon as its job settles, never behind another job.
-//   watch thread (1)   queues periodic metrics frames (telemetry::Sampler
-//                      ticks) in every `watch` subscriber's outbox; at
-//                      stop() it owes each subscriber one terminal frame.
 //
 // Outbox cap: a connection whose outbox (frames its reader has not taken
 // to write yet) passes kOutboxCapBytes has a client that stopped reading.
@@ -30,10 +30,10 @@
 //
 // Accounting invariant: every frame that decodes into a request gets exactly
 // one response, including during stop() — the ordered teardown (stop
-// accepting -> shut every read side -> close the watch, whose terminal
-// frames go into outboxes -> Scheduler::shutdown() calls every remaining
-// hook -> each reader writes its outbox and exits -> join) turns in-flight
-// work into kShuttingDown responses instead of dropping it.
+// accepting -> shut every read side and wake each reader, which queues each
+// of its watch subscriptions' terminal frame -> Scheduler::shutdown() calls
+// every remaining hook -> each reader writes its outbox and exits -> join)
+// turns in-flight work into kShuttingDown responses instead of dropping it.
 //
 // Deduplication: every submit becomes its own Scheduler::submit. Identical
 // work shares one execution only when the client opts in with `memo`
@@ -43,13 +43,13 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "net/protocol.h"
@@ -80,10 +80,7 @@ struct ServerConfig {
   /// RetryPolicy for submitted workloads; all workloads are self-contained,
   /// so cpu_fallback is always enabled.
   std::size_t retry_attempts = 3;
-  /// Consecutive-failure threshold of each worker's breaker (0 = disabled).
-  std::size_t breaker_threshold = 8;
   TenancyConfig tenancy;
-  bool enable_telemetry = true;
 };
 
 class Server {
@@ -105,8 +102,7 @@ class Server {
   void add_pool(core::AcceleratorKind kind, std::size_t workers,
                 const core::AcceleratorFactory& factory);
 
-  /// Binds, spawns the accept loop and the watch thread. False on bind
-  /// failure.
+  /// Binds and spawns the accept loop. False on bind failure.
   bool start(std::string* error = nullptr);
   std::uint16_t port() const { return port_; }
 
@@ -136,20 +132,35 @@ class Server {
     Clock::time_point received{};  ///< start of net.request_seconds
   };
 
+  using SamplePtr = std::shared_ptr<const telemetry::MetricsSample>;
+
+  /// One live `watch` subscription: its wire ids, how often it is due, and
+  /// the sample its last frame carried, which its next frame's rates are
+  /// measured against.
+  struct WatchSub {
+    std::uint64_t wire_id = 0;
+    std::uint64_t trace_id = 0;
+    Clock::duration interval{};
+    Clock::time_point next_due{};
+    SamplePtr last;
+  };
+
   /// One accepted socket. Its reader thread is the socket's only reader and
   /// writer; every other thread hands it frames through the outbox. Shared
-  /// with every completion hook and watch subscription that still owes it a
-  /// frame; the fd closes when the last owner drops.
+  /// with every completion hook that still owes it a frame; the fd closes
+  /// when the last owner drops.
   struct Connection {
     net::Socket socket;
     net::Waker wake;  ///< interrupts the reader's poll
+    /// The connection's `watch` subscriptions. Only its reader touches
+    /// them, so they are not under `mutex`.
+    std::vector<WatchSub> watches;
     /// Guards the members below; a leaf lock, never held across I/O.
     std::mutex mutex;
     std::string outbox;  ///< framed responses the reader has not taken yet
     std::vector<OutFrame> frames;  ///< one entry per frame of `outbox`
-    /// Frames still to come, which keep the reader writing after it stops
-    /// reading: one per accepted submit and one (the terminal frame) per
-    /// live watch subscription.
+    /// Replies still to come, one per accepted submit, which keep the reader
+    /// writing after it stops reading.
     std::size_t owed = 0;
     /// The reader is gone or the outbox passed kOutboxCapBytes: frames are
     /// dropped.
@@ -171,15 +182,6 @@ class Server {
     std::atomic<bool> done{false};
   };
 
-  /// One live `watch` subscription: where to push frames and how often.
-  struct WatchSub {
-    std::shared_ptr<Connection> conn;
-    std::uint64_t wire_id = 0;
-    std::uint64_t trace_id = 0;
-    double interval_ms = 500.0;
-    Clock::time_point next_due{};
-  };
-
   void accept_loop();
   void reader_loop(std::shared_ptr<Connection> conn, std::uint64_t conn_id);
   /// Reads what the socket holds (through `chunk`) into `in` and handles
@@ -187,11 +189,16 @@ class Server {
   /// an error, or an oversized frame (answered first).
   bool read_frames(const std::shared_ptr<Connection>& conn, std::string& in,
                    char* chunk);
-  /// Queues periodic metrics frames for every watch subscriber; on
-  /// shutdown, queues each one its terminal (non-streaming) kShuttingDown
-  /// frame so the one-response-per-request accounting closes for streams
-  /// too.
-  void watch_loop();
+  /// Queues a frame for each of `c`'s watch subscriptions that is due, all
+  /// from one registry sample. Returns the poll timeout (ms) until the next
+  /// one is due; -1 when `c` has none.
+  int serve_watches(Connection& c);
+  /// Queues each of `c`'s watch subscriptions its terminal (non-streaming)
+  /// kShuttingDown frame, the stream's one response, and ends them.
+  void end_watches(Connection& c);
+  /// The next streaming frame of `sub`, from `sample`; rates are measured
+  /// against `sub.last`, which becomes `sample`.
+  net::Response watch_frame(WatchSub& sub, SamplePtr sample);
   /// Decodes and dispatches one frame.
   void handle_frame(const std::shared_ptr<Connection>& conn,
                     const std::string& frame);
@@ -200,10 +207,14 @@ class Server {
   void handle_watch(const std::shared_ptr<Connection>& conn,
                     const net::Request& req);
   net::Response status_response(const net::Request& req) const;
-  /// Body of the `metrics` verb and of every watch frame: one fresh sampler
-  /// tick (counters, gauges, histogram quantiles), counter rates over the
-  /// last sampling interval, and Scheduler::stats().
-  core::JsonValue metrics_body();
+  /// Takes one registry sample and makes it the server's previous sample.
+  /// Returns it and the sample it replaced (null before the first).
+  std::pair<SamplePtr, SamplePtr> sample_registry();
+  /// Body of the `metrics` verb and of every watch frame: `sample`
+  /// (counters, gauges, histogram quantiles), its counter rates since
+  /// `older` (none when null), and Scheduler::stats().
+  core::JsonValue metrics_body(const telemetry::MetricsSample& sample,
+                               const telemetry::MetricsSample* older) const;
   /// retry_after_ms hint for kOverloaded rejections, derived from the load
   /// actually present: queued jobs of `kind` divided across its workers,
   /// each costing the observed mean service time (1 ms floor).
@@ -213,9 +224,13 @@ class Server {
   ServerConfig config_;
   sched::Scheduler scheduler_;
   TenantGovernor governor_;
-  /// Samples the process-wide registry for the metrics/watch verbs. Driven
-  /// by tick() from this class (watch cadence), never by its own thread.
-  telemetry::Sampler sampler_;
+  /// t = 0 of every registry sample (the server's construction).
+  const Clock::time_point epoch_ = Clock::now();
+  /// The latest registry sample: what a `metrics` reply and a subscription's
+  /// first frame measure rates against. Samples are taken under the mutex,
+  /// so a newer one is never replaced by an older.
+  std::mutex sample_mutex_;
+  SamplePtr last_sample_;
   net::Listener listener_;
   std::uint16_t port_ = 0;
 
@@ -227,12 +242,6 @@ class Server {
   std::thread accept_thread_;
   std::mutex readers_mutex_;
   std::list<ReaderSlot> readers_;
-
-  std::mutex watch_mutex_;
-  std::condition_variable watch_cv_;
-  std::vector<WatchSub> watchers_;
-  bool watch_closed_ = false;
-  std::thread watch_thread_;
 };
 
 }  // namespace rebooting::rebootd

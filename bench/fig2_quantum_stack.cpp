@@ -110,10 +110,10 @@ int main() {
     Topology topo;
     bool opt;
   };
-  for (const Cfg cfg : {Cfg{"all-to-all", Topology::all_to_all(6), true},
-                        Cfg{"line", Topology::line(6), true},
-                        Cfg{"line", Topology::line(6), false},
-                        Cfg{"grid 2x3", Topology::grid(2, 3), true}}) {
+  for (const Cfg& cfg : {Cfg{"all-to-all", Topology::all_to_all(6), true},
+                         Cfg{"line", Topology::line(6), true},
+                         Cfg{"line", Topology::line(6), false},
+                         Cfg{"grid 2x3", Topology::grid(2, 3), true}}) {
     const CompiledProgram prog = compile(qft6, cfg.topo, cfg.opt);
     ab.add_row({std::string(cfg.name), std::string(cfg.opt ? "on" : "off"),
                 static_cast<std::int64_t>(prog.report.optimized_gates),

@@ -1,6 +1,6 @@
 // Metrics/sampling overhead bench — gates the cost discipline the
-// fleet-observability surface (telemetry::Sampler, rebootd's metrics/watch
-// verbs) depends on, with a machine-readable BENCH_stats.json.
+// fleet-observability surface (telemetry::take_sample, rebootd's
+// metrics/watch verbs) depends on, with a machine-readable BENCH_stats.json.
 //
 // Two claims are gated:
 //
@@ -8,11 +8,12 @@
 //      relaxed atomic load + branch) — the same discipline trace_overhead
 //      gates for trace points, re-asserted here for TELEM_COUNT/TELEM_RECORD
 //      so instrumentation stays compiled into engine hot loops.
-//   2. One Sampler::tick() on a *populated* registry (hundreds of counters,
-//      dozens of live histograms) costs < 5 ms. The watch pump ticks once
-//      per interval (floor 20 ms), so the gate bounds sampling overhead at
-//      < 25% of one core in the worst configuration and ~1% at the default
-//      500 ms cadence — an ops dashboard must never become the load.
+//   2. One take_sample() on a *populated* registry (hundreds of counters,
+//      dozens of live histograms) costs < 5 ms. A watch subscription takes
+//      at most one sample per interval (floor 20 ms), so the gate bounds
+//      sampling overhead at < 25% of one core in the worst configuration
+//      and ~1% at the default 500 ms cadence — an ops dashboard must never
+//      become the load.
 //
 // Methodology matches the other exit-gated benches: min-pass timing over
 // repeated passes, empty-loop baseline subtracted for the ns-scale paths,
@@ -94,7 +95,7 @@ int main(int argc, char** argv) {
   std::cout << "\n"
             << kOpsPerPass << " ops/pass, " << kPasses
             << " passes, min-pass reported; gates: disabled < "
-            << kDisabledGateNs << " ns, sampler tick < " << kTickGateMs
+            << kDisabledGateNs << " ns, take_sample < " << kTickGateMs
             << " ms on " << kCounters << " counters / " << kGauges
             << " gauges / " << kHistograms << " histograms\n\n";
 
@@ -116,24 +117,26 @@ int main(int argc, char** argv) {
   //    behind.
   telemetry::MetricsRegistry registry;
   populate(registry);
-  telemetry::Sampler sampler(registry);
+  const auto epoch = Clock::now();
 
   Real tick_best_ms = std::numeric_limits<Real>::infinity();
   Real tick_worst_ms = 0.0;
+  telemetry::MetricsSample first, last;
   for (std::size_t pass = 0; pass < kTickPasses; ++pass) {
     const auto start = Clock::now();
-    const telemetry::MetricsSample sample = sampler.tick();
+    telemetry::MetricsSample sample = telemetry::take_sample(registry, epoch);
     const Real ms =
         std::chrono::duration<Real, std::milli>(Clock::now() - start).count();
     tick_best_ms = std::min(tick_best_ms, ms);
     tick_worst_ms = std::max(tick_worst_ms, ms);
     if (sample.counters.size() != kCounters) return 3;  // self-check
+    (pass == 0 ? first : last) = std::move(sample);
   }
 
-  // Rate computation over the full ring tail (not gated; reported so a
-  // regression is visible in the trajectory even below the tick gate).
+  // Rate computation between the first and last sample (not gated; reported
+  // so a regression is visible in the trajectory even below the tick gate).
   const auto rates_start = Clock::now();
-  const telemetry::MetricsRates rates = sampler.rates();
+  const telemetry::MetricsRates rates = telemetry::rates_between(first, last);
   const Real rates_ms = std::chrono::duration<Real, std::milli>(
                             Clock::now() - rates_start)
                             .count();
@@ -153,12 +156,12 @@ int main(int argc, char** argv) {
                  disabled_record_ns, kDisabledGateNs,
                  std::string(disabled_record_ns < kDisabledGateNs ? "PASS"
                                                                   : "FAIL")});
-  table.add_row({std::string("sampler tick, populated [ms]"), tick_best_ms,
+  table.add_row({std::string("take_sample, populated [ms]"), tick_best_ms,
                  kTickGateMs,
                  std::string(tick_ok ? "PASS" : "FAIL")});
-  table.add_row({std::string("sampler tick, worst pass [ms]"), tick_worst_ms,
+  table.add_row({std::string("take_sample, worst pass [ms]"), tick_worst_ms,
                  std::string("-"), std::string("report")});
-  table.add_row({std::string("rates() over ring [ms]"), rates_ms,
+  table.add_row({std::string("rates_between [ms]"), rates_ms,
                  std::string("-"), std::string("report")});
   table.print(std::cout);
   std::cout << "\nloop baseline: " << baseline_ns << " ns; rate set holds "

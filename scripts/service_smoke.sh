@@ -110,8 +110,9 @@ pid_a=$shard_pid
 start_shard storm-b "$port_b" REBOOTING_FAULTS="$workdir/faults.json"
 pid_b=$shard_pid
 
-# Prime each shard's sampler with a first sample so the rates reported by
-# `top` below span the load window rather than starting mid-storm.
+# Take a first registry sample on each shard: the first frame of `top`'s
+# subscription below rates against the shard's previous sample, so its rates
+# span the load window rather than starting mid-storm.
 "$rebootctl" --port "$port_a" metrics > /dev/null
 "$rebootctl" --port "$port_b" metrics > /dev/null
 

@@ -51,8 +51,8 @@ struct RetryPolicy {
   std::size_t max_attempts = 1;
   /// Backoff before retry k (1-based) is
   ///   min(initial_backoff * backoff_multiplier^(k-1), max_backoff)
-  /// stretched by a deterministic jitter drawn from
-  /// Rng::stream(SchedulerConfig::jitter_seed, f(seq, k)).
+  /// stretched by a deterministic jitter drawn from Rng::stream(kJitterSeed,
+  /// f(seq, k)), where kJitterSeed is a constant (0x5EEDBACC, scheduler.cpp).
   Clock::duration initial_backoff = std::chrono::milliseconds(1);
   core::Real backoff_multiplier = 2.0;
   Clock::duration max_backoff = std::chrono::milliseconds(100);

@@ -18,6 +18,10 @@ namespace rebooting::sched {
 
 namespace {
 
+/// Seed of the deterministic backoff jitter (RetryPolicy::jitter): retry
+/// timing is reproducible given the submission order.
+constexpr std::uint64_t kJitterSeed = 0x5EEDBACCull;
+
 core::Real seconds_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<core::Real>(b - a).count();
 }
@@ -126,12 +130,10 @@ void Scheduler::add_pool(core::AcceleratorKind kind, std::size_t workers,
   // REBOOTING_FAULTS wiring: kinds covered by the environment plan get their
   // replicas built behind deterministic fault injectors.
   core::AcceleratorFactory build = factory;
-  if (config_.env_faults) {
-    if (const auto plan = core::FaultPlan::from_env()) {
-      const core::FaultSpec* spec = plan->spec_for(kind);
-      if (spec && spec->enabled())
-        build = core::FaultyAccelerator::wrap(build, plan);
-    }
+  if (const auto plan = core::FaultPlan::from_env()) {
+    const core::FaultSpec* spec = plan->spec_for(kind);
+    if (spec && spec->enabled())
+      build = core::FaultyAccelerator::wrap(build, plan);
   }
 
   auto pool = std::make_unique<Pool>(kind, config_.queue_capacity,
@@ -705,8 +707,8 @@ Clock::duration Scheduler::backoff_delay(const RetryPolicy& retry,
       seconds, std::chrono::duration<core::Real>(retry.max_backoff).count());
   if (retry.jitter > 0.0) {
     // Counter-based, like the fault verdicts: the jitter of retry k of job
-    // seq is a pure function of (jitter_seed, seq, k).
-    core::Rng rng = core::Rng::stream(config_.jitter_seed,
+    // seq is a pure function of (kJitterSeed, seq, k).
+    core::Rng rng = core::Rng::stream(kJitterSeed,
                                       (seq << 7) | (attempt & 0x7Full));
     seconds *= 1.0 + retry.jitter * (2.0 * rng.uniform() - 1.0);
   }

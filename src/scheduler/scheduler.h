@@ -83,14 +83,7 @@ struct SchedulerConfig {
   /// What a full queue does with the next submission.
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
   /// Per-worker circuit breaker; the default threshold of 0 disables it.
-  BreakerConfig breaker;
-  /// Seed of the deterministic backoff jitter (RetryPolicy::jitter); retry
-  /// timing is reproducible given the same seed and submission order.
-  std::uint64_t jitter_seed = 0x5EEDBACCull;
-  /// Honor REBOOTING_FAULTS=<plan.json>: add_pool wraps factories of covered
-  /// kinds in core::FaultyAccelerator decorators. Off = this scheduler
-  /// ignores the environment plan (used by the overhead bench's control).
-  bool env_faults = true;
+  BreakerConfig breaker{};
   /// Let idle workers steal queued jobs marked JobOptions::stealable from
   /// other kinds' pools (DESIGN.md §12). Off by default: stealing changes
   /// which replica runs a job, which only payloads that ignore their

@@ -1,86 +1,24 @@
 #include "telemetry/sampler.h"
 
-#include <chrono>
-#include <utility>
-
 namespace rebooting::telemetry {
 
-Sampler::Sampler(const MetricsRegistry& registry, SamplerConfig config)
-    : registry_(registry),
-      config_(config),
-      epoch_(std::chrono::steady_clock::now()) {
-  if (config_.capacity == 0) config_.capacity = 1;
-}
-
-Sampler::~Sampler() { stop(); }
-
-MetricsSample Sampler::tick() {
+MetricsSample take_sample(const MetricsRegistry& registry,
+                          std::chrono::steady_clock::time_point epoch) {
   MetricsSample sample;
   sample.t_seconds = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - epoch_)
+                         std::chrono::steady_clock::now() - epoch)
                          .count();
   // Three registry locks, not one — each accessor snapshots consistently on
   // its own; a global cut across counter/gauge/histogram maps is not needed
   // for rate math (rates only ever compare counters with counters).
-  sample.counters = registry_.counters();
-  sample.gauges = registry_.gauges();
-  sample.histograms = registry_.histograms();
-
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ring_.push_back(sample);
-  while (ring_.size() > config_.capacity) ring_.pop_front();
+  sample.counters = registry.counters();
+  sample.gauges = registry.gauges();
+  sample.histograms = registry.histograms();
   return sample;
 }
 
-void Sampler::start() {
-  const std::lock_guard<std::mutex> lock(thread_mutex_);
-  if (thread_.joinable()) return;
-  running_.store(true, std::memory_order_release);
-  thread_ = std::thread([this] { run(); });
-}
-
-void Sampler::stop() {
-  const std::lock_guard<std::mutex> lock(thread_mutex_);
-  {
-    // The flag flips under wait_mutex_ so run() either sees it before
-    // waiting or is already inside wait_for and receives the notify —
-    // never a missed wakeup that stalls stop() for a whole period.
-    const std::lock_guard<std::mutex> wait_lock(wait_mutex_);
-    running_.store(false, std::memory_order_release);
-  }
-  stop_cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-  thread_ = std::thread();
-}
-
-void Sampler::run() {
-  // Ticks immediately, so latest() is non-empty as soon as the thread gets
-  // scheduled — not one period later.
-  std::unique_lock<std::mutex> lock(wait_mutex_);
-  while (running_.load(std::memory_order_acquire)) {
-    lock.unlock();
-    tick();
-    lock.lock();
-    stop_cv_.wait_for(
-        lock, std::chrono::duration<double>(config_.period_seconds),
-        [this] { return !running_.load(std::memory_order_acquire); });
-  }
-}
-
-std::optional<MetricsSample> Sampler::latest() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (ring_.empty()) return std::nullopt;
-  return ring_.back();
-}
-
-MetricsRates Sampler::rates() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (ring_.size() < 2) return {};
-  return rates_between(ring_[ring_.size() - 2], ring_.back());
-}
-
-MetricsRates Sampler::rates_between(const MetricsSample& older,
-                                    const MetricsSample& newer) {
+MetricsRates rates_between(const MetricsSample& older,
+                           const MetricsSample& newer) {
   MetricsRates rates;
   rates.dt_seconds = newer.t_seconds - older.t_seconds;
   if (!(rates.dt_seconds > 0.0)) return rates;
@@ -90,11 +28,6 @@ MetricsRates Sampler::rates_between(const MetricsSample& older,
     rates.per_second[name] = (value - before) / rates.dt_seconds;
   }
   return rates;
-}
-
-std::size_t Sampler::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return ring_.size();
 }
 
 }  // namespace rebooting::telemetry

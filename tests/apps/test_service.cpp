@@ -647,6 +647,76 @@ TEST(Service, WatchRejectsMistypedInterval) {
   EXPECT_FALSE(resp->streaming);
 }
 
+double rates_dt(const net::Response& frame) {
+  return frame.body.at("rates").at("dt_seconds").number();
+}
+
+// Each frame after a subscription's first rates against that subscription's
+// previous frame, so its window is its own interval, whatever other
+// subscribers do. A server that rates every frame against its latest sample
+// of all gives the 100 ms subscriber beside a 20 ms one ~20 ms windows.
+TEST(Service, WatchRatesCoverTheirOwnInterval) {
+  Watchdog watchdog(60s, "WatchRatesCoverTheirOwnInterval");
+  ServerConfig config;
+  config.cpu_workers = 1;
+  Server server(config);
+  ASSERT_TRUE(server.start());
+
+  rebootctl::Client fast = connect_client(server);
+  rebootctl::Client slow = connect_client(server);
+  ASSERT_TRUE(fast.send(watch_request(1, 20.0)));
+  ASSERT_TRUE(slow.send(watch_request(2, 100.0)));
+  std::string error;
+  for (int i = 0; i < 6; ++i) {
+    const auto frame = slow.recv(&error);
+    ASSERT_TRUE(frame.has_value()) << error;
+    EXPECT_TRUE(frame->streaming);
+    if (i > 0) {
+      EXPECT_GE(rates_dt(*frame), 0.09) << "frame " << i;
+    }
+  }
+  // The fast subscription's frames queued meanwhile; each covers ~20 ms.
+  for (int i = 0; i < 6; ++i) {
+    const auto frame = fast.recv(&error);
+    ASSERT_TRUE(frame.has_value()) << error;
+    EXPECT_TRUE(frame->streaming);
+    if (i > 0) {
+      EXPECT_GE(rates_dt(*frame), 0.018) << "frame " << i;
+    }
+  }
+  server.stop();
+}
+
+// A subscription's first frame rates against the server's previous sample,
+// which the last `metrics` reply took: a `metrics` call primes the window
+// of a later `top --once` (scripts/service_smoke.sh).
+TEST(Service, WatchFirstFrameRatesSinceTheLastMetricsCall) {
+  Watchdog watchdog(60s, "WatchFirstFrameRatesSinceTheLastMetricsCall");
+  ServerConfig config;
+  config.cpu_workers = 1;
+  Server server(config);
+  ASSERT_TRUE(server.start());
+
+  rebootctl::Client client = connect_client(server);
+  net::Request metrics;
+  metrics.id = 1;
+  metrics.method = "metrics";
+  ASSERT_TRUE(client.call(metrics).has_value());
+  std::uint64_t id = 2;
+  for (const auto until = Clock::now() + 50ms; Clock::now() < until; ++id)
+    ASSERT_TRUE(client.call(submit_spin(id, 1000.0)).has_value());
+  ASSERT_TRUE(client.send(watch_request(id, 500.0)));
+  std::string error;
+  const auto first = client.recv(&error);
+  ASSERT_TRUE(first.has_value()) << error;
+  EXPECT_TRUE(first->streaming);
+  EXPECT_GE(rates_dt(*first), 0.05);
+  EXPECT_GT(
+      first->body.at("rates").at("per_second").at("net.requests").number(),
+      0.0);
+  server.stop();
+}
+
 TEST(Service, TraceContextIsEchoedOnEveryOutcome) {
   ServerConfig config;
   config.cpu_workers = 1;
@@ -680,9 +750,19 @@ TEST(Service, TraceContextIsEchoedOnEveryOutcome) {
   ASSERT_TRUE(pong.has_value());
   EXPECT_EQ(pong->trace_id, 88u);
 
-  // No context in -> no context out.
-  const auto plain = client.call(submit_spin(4, 50.0));
+  // No context in -> no context out. Sent as a raw frame: a Client in a
+  // tracing process stamps a context on every submit, and what is checked
+  // here is the server's echo.
+  net::Socket raw = net::connect_to("127.0.0.1", server.port());
+  ASSERT_TRUE(raw.valid());
+  ASSERT_TRUE(
+      net::write_frame(raw, net::encode_request(submit_spin(4, 50.0))));
+  std::string frame;
+  ASSERT_EQ(net::read_frame(raw, &frame, net::kMaxFrameBytes),
+            net::FrameRead::kFrame);
+  const auto plain = net::decode_response(frame);
   ASSERT_TRUE(plain.has_value());
+  EXPECT_EQ(plain->id, 4u);
   EXPECT_EQ(plain->trace_id, 0u);
 }
 
@@ -1048,6 +1128,52 @@ TEST(Service, StopReturnsWhileAWatcherIgnoresItsFrames) {
     std::this_thread::sleep_for(2ms);
   std::this_thread::sleep_for(100ms);  // a few frames queue behind the rest
   expect_stop_returns(server, w, std::numeric_limits<std::uint64_t>::max());
+}
+
+// A subscriber that half-closes keeps getting frames: its watch keeps the
+// reader writing after it reads EOF, until stop() ends the stream with
+// exactly one terminal frame, then EOF.
+TEST(Service, HalfClosedWatcherStreamsUntilStop) {
+  Watchdog watchdog(60s, "HalfClosedWatcherStreamsUntilStop");
+  ServerConfig config;
+  config.cpu_workers = 1;
+  Server server(config);
+  ASSERT_TRUE(server.start());
+  net::Socket w = net::connect_to("127.0.0.1", server.port());
+  ASSERT_TRUE(w.valid());
+  ASSERT_TRUE(
+      net::write_frame(w, net::encode_request(watch_request(7, 20.0))));
+  ASSERT_EQ(::shutdown(w.fd(), SHUT_WR), 0);
+  std::string frame;
+  for (int i = 0; i < 3; ++i) {  // the first frame, then two streamed ones
+    ASSERT_EQ(net::read_frame(w, &frame, net::kMaxFrameBytes),
+              net::FrameRead::kFrame)
+        << "frame " << i;
+    const auto resp = net::decode_response(frame);
+    ASSERT_TRUE(resp.has_value());
+    EXPECT_EQ(resp->id, 7u);
+    EXPECT_TRUE(resp->streaming) << "frame " << i;
+  }
+
+  // The frames still to come fit in the socket buffers, so stop() returns
+  // without this thread reading them.
+  server.stop();
+  std::size_t terminal = 0;
+  net::FrameRead end;
+  while ((end = net::read_frame(w, &frame, net::kMaxFrameBytes)) ==
+         net::FrameRead::kFrame) {
+    const auto resp = net::decode_response(frame);
+    ASSERT_TRUE(resp.has_value());
+    EXPECT_EQ(resp->id, 7u);
+    if (resp->streaming) {
+      EXPECT_EQ(terminal, 0u) << "a streamed frame after the terminal one";
+      continue;
+    }
+    ++terminal;
+    EXPECT_EQ(resp->status, net::Status::kShuttingDown);
+  }
+  EXPECT_EQ(terminal, 1u);
+  EXPECT_EQ(end, net::FrameRead::kEof);
 }
 
 // --- tenancy unit tests ---------------------------------------------------

@@ -127,7 +127,9 @@ TEST(Dpll, DecisionLimitReported) {
   DpllOptions opts;
   opts.max_decisions = 3;
   const SatResult r = dpll(cnf, opts);
-  if (!r.satisfied) EXPECT_TRUE(r.hit_limit || r.decisions <= 3);
+  if (!r.satisfied) {
+    EXPECT_TRUE(r.hit_limit || r.decisions <= 3);
+  }
 }
 
 TEST(Dpll, UnitPropagationCountsWork) {

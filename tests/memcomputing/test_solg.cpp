@@ -205,7 +205,9 @@ TEST_P(SubsetSumTest, FindsSubsetWhenOneExists) {
   opts.max_steps = 60'000;
   const SubsetSumResult r = solg_subset_sum(values, target, rng, opts);
   EXPECT_EQ(r.found, feasible) << "target=" << target;
-  if (r.found) EXPECT_EQ(r.achieved, target);
+  if (r.found) {
+    EXPECT_EQ(r.achieved, target);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -115,9 +115,10 @@ TEST(Route, LineTopologyGetsConnectedGates) {
   EXPECT_GT(r.swaps_inserted, 0u);
   const Topology line = Topology::line(4);
   for (const Operation& op : r.circuit.operations()) {
-    if (op.qubits.size() == 2)
+    if (op.qubits.size() == 2) {
       EXPECT_TRUE(line.connected(op.qubits[0], op.qubits[1]))
           << op.to_string();
+    }
   }
 }
 

@@ -425,10 +425,14 @@ TEST(Chaos, StormsAtSeveralProbabilitiesNeverAbandonJobs) {
         EXPECT_FALSE(o.fault_log.empty());
       }
       faults += o.fault_log.size();
-      if (!o.ok) EXPECT_EQ(o.attempts, 6u) << "failed before exhaustion";
+      if (!o.ok) {
+        EXPECT_EQ(o.attempts, 6u) << "failed before exhaustion";
+      }
     }
-    if (p >= 0.2) EXPECT_GT(degraded, 0u) << "p=" << p;
-    if (p >= 0.2) EXPECT_GT(faults, 0u) << "p=" << p;
+    if (p >= 0.2) {
+      EXPECT_GT(degraded, 0u) << "p=" << p;
+      EXPECT_GT(faults, 0u) << "p=" << p;
+    }
   }
 }
 
@@ -695,8 +699,9 @@ TEST(Lifecycle, ShutdownUnderActiveFaultsCompletesEveryFuture) {
   for (auto& f : futures) {
     ASSERT_TRUE(ready(f));
     const auto r = f.get();  // ok, retried-ok, or flushed — never abandoned
-    if (!r.ok)
+    if (!r.ok) {
       EXPECT_FALSE(r.summary.empty());
+    }
   }
 }
 

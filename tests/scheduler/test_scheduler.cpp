@@ -43,6 +43,12 @@ core::Job cpu_job(std::string name, std::function<core::JobResult()> fn) {
                    std::move(fn)};
 }
 
+/// `prefix` followed by `n`. Appended, because GCC 12 at -O3 reports a false
+/// -Wrestrict for `"p" + std::to_string(n)` at some call sites here.
+std::string numbered(std::string prefix, int n) {
+  return prefix.append(std::to_string(n));
+}
+
 bool ready(const std::future<core::JobResult>& f) {
   return f.wait_for(0s) == std::future_status::ready;
 }
@@ -181,7 +187,7 @@ TEST(SchedulerBackpressure, BlockWaitsForRoomAndRunsEverything) {
   std::thread producer([&] {
     for (int i = 0; i < 3; ++i)  // second submit blocks until the gate opens
       futures.push_back(pool.scheduler.submit(
-          cpu_job("p" + std::to_string(i), [] { return ok_result(); })));
+          cpu_job(numbered("p", i), [] { return ok_result(); })));
   });
   std::this_thread::sleep_for(10ms);
   pool.open_gate();
@@ -254,7 +260,7 @@ TEST(SchedulerLifecycle, DrainIsABarrierNotAShutdown) {
                      core::CpuAccelerator::factory());
   std::vector<std::future<core::JobResult>> futures;
   for (int i = 0; i < 8; ++i)
-    futures.push_back(scheduler.submit(cpu_job("j" + std::to_string(i), [] {
+    futures.push_back(scheduler.submit(cpu_job(numbered("j", i), [] {
       std::this_thread::sleep_for(2ms);
       return ok_result();
     })));
@@ -616,7 +622,7 @@ TEST(SchedulerStress, MultiProducerMultiWorker) {
     producers.emplace_back([&, p] {
       for (int i = 0; i < kJobsPerProducer; ++i) {
         auto f = scheduler.submit(
-            cpu_job("p" + std::to_string(p) + "." + std::to_string(i),
+            cpu_job(numbered(numbered("p", p) + ".", i),
                     [&executed] {
                       executed.fetch_add(1, std::memory_order_relaxed);
                       return ok_result();

@@ -1,5 +1,5 @@
-// Sampler tests: ring behavior, rate math (including counters born between
-// samples and the dt<=0 guard), and the start/stop thread handshake.
+// Sampling tests: take_sample copies the registry, and the rate math
+// (including counters born between samples and the dt<=0 guard).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -18,48 +18,31 @@ TEST(Sampler, TickSnapshotsTheRegistryIntoTheRing) {
   registry.set("depth", 7.0);
   registry.record("lat", 0.25);
 
-  Sampler sampler(registry);
-  EXPECT_FALSE(sampler.latest().has_value());
-
-  const MetricsSample sample = sampler.tick();
-  EXPECT_EQ(sampler.size(), 1u);
+  const auto epoch = std::chrono::steady_clock::now();
+  const MetricsSample sample = take_sample(registry, epoch);
+  EXPECT_GE(sample.t_seconds, 0.0);
   EXPECT_DOUBLE_EQ(sample.counters.at("req"), 3.0);
   EXPECT_DOUBLE_EQ(sample.gauges.at("depth"), 7.0);
   EXPECT_EQ(sample.histograms.at("lat").count, 1u);
-  ASSERT_TRUE(sampler.latest().has_value());
-  EXPECT_DOUBLE_EQ(sampler.latest()->counters.at("req"), 3.0);
 
   // The sample is a copy: later registry updates do not leak into it.
   registry.add("req", 10.0);
-  EXPECT_DOUBLE_EQ(sampler.latest()->counters.at("req"), 3.0);
-}
-
-TEST(Sampler, RingDropsOldestBeyondCapacity) {
-  MetricsRegistry registry;
-  SamplerConfig config;
-  config.capacity = 3;
-  Sampler sampler(registry, config);
-  for (int i = 0; i < 10; ++i) {
-    registry.add("n");
-    sampler.tick();
-  }
-  EXPECT_EQ(sampler.size(), 3u);
-  EXPECT_DOUBLE_EQ(sampler.latest()->counters.at("n"), 10.0);
+  EXPECT_DOUBLE_EQ(sample.counters.at("req"), 3.0);
+  EXPECT_DOUBLE_EQ(take_sample(registry, epoch).counters.at("req"), 13.0);
 }
 
 TEST(Sampler, RatesComeFromTheLastTwoSamples) {
   MetricsRegistry registry;
-  Sampler sampler(registry);
+  const auto epoch = std::chrono::steady_clock::now();
   registry.add("req", 5.0);
-  sampler.tick();
-  EXPECT_TRUE(sampler.rates().per_second.empty());  // one sample: no rate
+  const MetricsSample older = take_sample(registry, epoch);
 
   std::this_thread::sleep_for(2ms);
   registry.add("req", 5.0);
   registry.add("born.later", 4.0);  // counter absent from the older sample
-  sampler.tick();
+  const MetricsSample newer = take_sample(registry, epoch);
 
-  const MetricsRates rates = sampler.rates();
+  const MetricsRates rates = rates_between(older, newer);
   ASSERT_GT(rates.dt_seconds, 0.0);
   EXPECT_NEAR(rates.per_second.at("req"), 5.0 / rates.dt_seconds, 1e-6);
   // A counter created between samples rates from 0, not from absent.
@@ -74,36 +57,10 @@ TEST(Sampler, RatesBetweenGuardsAgainstZeroDt) {
   MetricsSample b;
   b.t_seconds = 1.0;  // same instant: no infinities, just no rates
   b.counters["x"] = 100.0;
-  EXPECT_TRUE(Sampler::rates_between(a, b).per_second.empty());
-  // Backwards time (ring handed in the wrong order) is equally undefined.
+  EXPECT_TRUE(rates_between(a, b).per_second.empty());
+  // Backwards time (samples handed in the wrong order) is equally undefined.
   b.t_seconds = 0.5;
-  EXPECT_TRUE(Sampler::rates_between(a, b).per_second.empty());
-}
-
-TEST(Sampler, BackgroundThreadTicksAndStopsCleanly) {
-  MetricsRegistry registry;
-  SamplerConfig config;
-  config.period_seconds = 0.005;
-  Sampler sampler(registry, config);
-  sampler.start();
-  sampler.start();  // idempotent
-
-  // The thread ticks immediately on start, then on its period.
-  for (int i = 0; i < 200 && sampler.size() < 3; ++i)
-    std::this_thread::sleep_for(2ms);
-  EXPECT_GE(sampler.size(), 3u);
-
-  sampler.stop();
-  sampler.stop();  // idempotent
-  const std::size_t after_stop = sampler.size();
-  std::this_thread::sleep_for(15ms);
-  EXPECT_EQ(sampler.size(), after_stop);  // really stopped
-
-  // Restartable after stop.
-  sampler.start();
-  for (int i = 0; i < 200 && sampler.size() <= after_stop; ++i)
-    std::this_thread::sleep_for(2ms);
-  EXPECT_GT(sampler.size(), after_stop);
+  EXPECT_TRUE(rates_between(a, b).per_second.empty());
 }
 
 }  // namespace
