@@ -3,6 +3,8 @@
 // engines' inner loops.
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "core/random.h"
 #include "memcomputing/dmm.h"
 #include "memcomputing/sat.h"
@@ -63,10 +65,15 @@ BENCHMARK(BM_StateVectorCz)->Arg(10)->Arg(16)->Arg(20);
 
 // The DMM step: one sweep over every clause plus the Euler update. Items are
 // clause-steps (steps x clauses), the unit of perfbench's
-// dmm.ns_per_clause_step, so items/s inverts to ns per clause-step.
+// dmm.ns_per_clause_step, so items/s inverts to ns per clause-step. The
+// label names the step loop's lane count: the one this CPU dispatches to,
+// or 2 for a twin that runs the baseline build on any CPU.
 void run_dmm_bench(benchmark::State& state, const memcomputing::Cnf& cnf,
-                   const memcomputing::DmmOptions& opts) {
-  const memcomputing::DmmSolver solver(cnf, opts);
+                   const memcomputing::DmmOptions& opts,
+                   std::size_t lanes = memcomputing::detail::dmm_lanes()) {
+  const memcomputing::DmmSolver solver = memcomputing::detail::dmm_with_lanes(
+      memcomputing::DmmSolver(cnf, opts), lanes);
+  state.SetLabel(std::to_string(lanes) + " lanes");
   std::int64_t clause_steps = 0;
   for (auto _ : state) {
     core::Rng r(7);
@@ -92,15 +99,22 @@ BENCHMARK(BM_DmmStep)->Arg(50)->Arg(200);
 
 // rebootd's `sat` shape (random 3-SAT, 50 vars, 200 clauses). maxsat_mode
 // never stops early, so every iteration runs the same 2,000 steps.
-void BM_DmmStepRebootd(benchmark::State& state) {
+void run_dmm_rebootd_bench(benchmark::State& state, std::size_t lanes) {
   core::Rng rng(1001);
   const auto cnf = memcomputing::random_ksat(rng, 50, 200, 3);
   memcomputing::DmmOptions opts;
   opts.max_steps = 2000;
   opts.maxsat_mode = true;
-  run_dmm_bench(state, cnf, opts);
+  run_dmm_bench(state, cnf, opts, lanes);
+}
+void BM_DmmStepRebootd(benchmark::State& state) {
+  run_dmm_rebootd_bench(state, memcomputing::detail::dmm_lanes());
 }
 BENCHMARK(BM_DmmStepRebootd);
+void BM_DmmStepRebootd2Lanes(benchmark::State& state) {
+  run_dmm_rebootd_bench(state, 2);
+}
+BENCHMARK(BM_DmmStepRebootd2Lanes);
 
 void BM_OscillatorNetworkStep(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -3,8 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
+#include <utility>
 
 #include "telemetry/telemetry.h"
 
@@ -30,59 +34,217 @@ DmmSolver::DmmSolver(const Cnf& cnf, DmmOptions options)
 
 namespace {
 
-// Two clauses per vector: SSE2 on x86-64, NEON on AArch64 (GCC and Clang
-// vector extensions, no flag). Each lane is plain IEEE double arithmetic,
-// so it computes bit for bit what the same scalar expression does.
-using Vec2 = Real __attribute__((vector_size(2 * sizeof(Real))));
+// One vector type per lane count, as GCC and Clang vector extensions: two
+// doubles are SSE2 on x86-64 and NEON on AArch64 with no flag, four are AVX2
+// and appear only inside the target("avx2") build below. GCC ignores
+// vector_size on an alias that depends on a template parameter, hence one
+// specialization each. Each lane is plain IEEE double arithmetic, so it
+// computes bit for bit what the same scalar expression does.
+template <int L>
+struct VecOf;
+template <>
+struct VecOf<2> {
+  using type = Real __attribute__((vector_size(2 * sizeof(Real))));
+};
+template <>
+struct VecOf<4> {
+  using type = Real __attribute__((vector_size(4 * sizeof(Real))));
+};
 
-/// Lane-wise `a < b ? a : b`.
-inline Vec2 vmin(Vec2 a, Vec2 b) { return a < b ? a : b; }
+template <typename Vec>
+constexpr std::size_t kLanes = sizeof(Vec) / sizeof(Real);
+
+// The helpers below take and give vectors by reference: a 4-lane vector
+// passed by value through a function built without AVX would change the
+// calling convention (GCC's -Wpsabi), and step4 inlines them all anyway.
+
+/// Sets lane i of `x` to at(i).
+template <typename Vec, typename At>
+void fill_lanes(Vec& x, At&& at) {
+  for (std::size_t i = 0; i < kLanes<Vec>; ++i) x[i] = at(i);
+}
+
+/// Clears each lane's sign bit: lane-wise std::abs.
+template <typename Vec>
+void abs_in_place(Vec& x) {
+  using Bits = decltype(x < x);
+  x = (Vec)((Bits)x & std::numeric_limits<std::int64_t>::max());
+}
+
+// Items [0, count) in blocks of L: body(std::true_type, c) for each whole
+// block c .. c + L - 1, then body(std::false_type, c) for a final partial
+// block, whose lanes past the end repeat the last item.
+template <int L, typename Body>
+void for_blocks(std::size_t count, Body&& body) {
+  std::size_t c = 0;
+  for (; c + L <= count; c += L) body(std::true_type{}, c);
+  if (c < count) body(std::false_type{}, c);
+}
+
+/// Loads items c, c + 1, ... of `s` into the lanes of `x`: one contiguous
+/// load for a whole block.
+template <typename Vec, bool kWhole>
+void load(Vec& x, std::bool_constant<kWhole>, std::span<const Real> s,
+          std::size_t c) {
+  if constexpr (kWhole)
+    std::memcpy(&x, s.data() + c, sizeof x);
+  else
+    fill_lanes(x,
+               [&](std::size_t i) { return s[std::min(c + i, s.size() - 1)]; });
+}
+
+/// Stores the lanes of `x` that fall inside `s` at c, c + 1, ...
+template <typename Vec, bool kWhole>
+void store(std::bool_constant<kWhole>, std::span<Real> s, std::size_t c,
+           const Vec& x) {
+  if constexpr (kWhole) {
+    std::memcpy(s.data() + c, &x, sizeof x);
+  } else {
+    for (std::size_t i = 0; c + i < s.size(); ++i) s[c + i] = x[i];
+  }
+}
 
 }  // namespace
 
-// Static-dispatch dynamics kernel over the packed state y = [v | xs | xl]
-// (n voltages, then m fast memories, then m slow memories). rhs() is the one
-// clause sweep of Eqs. 1-2: it fills dydt with (dv, dxs, dxl) and leaves the
-// summed clause unsatisfaction in clause_energy for the energy traces. Every
-// dv sum adds its terms in clause order, then literal order, and every term
-// keeps the operation order of Eqs. 1-2 as written below, so the sweep is
-// bit-identical however it is vectorized (DESIGN.md §16). The solve loop
-// calls it directly (no std::function), so it inlines into the step loop.
+// One forward-Euler step of Eqs. 1-2 over the packed state y = [v | xs | xl]
+// (n voltages, then m fast memories, then m slow memories): the clause sweep
+// fills dv, dxs and dxl and sums the clause unsatisfaction, the largest
+// |dv| sets dt, and the voltages and memories take their clamped Euler
+// update. step<L> is one source built at L clauses (or variables) per
+// vector; step2 and step4 flatten it at 2 and 4 lanes, so no helper is left
+// out of line to split a 4-lane vector in two. Every dv sum adds its terms
+// in clause order, then literal order, every other sum runs in item order,
+// and every term keeps the operation order of Eqs. 1-2 as written below, so
+// the step is bit-identical at either lane count (DESIGN.md §16).
 struct DmmSolver::Kernel {
-  const DmmSolver& solver;
-  Real clause_energy = 0.0;
+  /// What a step reads and writes besides the formula.
+  struct State {
+    std::span<Real> v, xs, xl, dv, dxs, dxl;
+    std::span<Real> noise;  ///< this step's noise term per variable
+    std::span<unsigned char> sign_bit;  ///< sign_bit[i] == (v[i] > 0)
+    core::Rng& rng;
+    Real& max_abs_voltage;
+  };
+  struct Report {
+    Real dt_wanted = 0.0;  ///< dv_cap / max |dv|, before the clamp
+    Real dt = 0.0;
+    Real clause_energy = 0.0;  ///< sum of C_m before the step
+    std::size_t flips = 0;     ///< sign bits the step changed
+  };
+  using StepFn = Report (*)(const DmmSolver&, State&);
 
-  void rhs(Real /*t*/, std::span<const Real> y, std::span<Real> dydt) {
-    const std::size_t n = solver.num_variables_;
-    const std::size_t m = solver.weight_.size();
-    const auto v = y.first(n);
-    const auto xs = y.subspan(n, m);
-    const auto xl = y.subspan(n + m, m);
-    const auto dv = dydt.first(n);
-    const auto dxs = dydt.subspan(n, m);
-    const auto dxl = dydt.subspan(n + m, m);
-
-    std::fill(dv.begin(), dv.end(), 0.0);
-    if (solver.all_width3_)
-      sweep3(v, xs, xl, dv, dxs, dxl);
-    else
-      sweep_any(v, xs, xl, dv, dxs, dxl);
+  static StepFn step_for(std::size_t lanes) {
+#if defined(__x86_64__)
+    if (lanes == 4) return &step4;
+#else
+    (void)lanes;
+#endif
+    return &step2;
   }
 
  private:
+  [[gnu::flatten]] static Report step2(const DmmSolver& solver, State& st) {
+    return step<2>(solver, st);
+  }
+#if defined(__x86_64__)
+  [[gnu::target("avx2"), gnu::flatten]] static Report step4(
+      const DmmSolver& solver, State& st) {
+    return step<4>(solver, st);
+  }
+#endif
+
+  template <int L>
+  static Report step(const DmmSolver& solver, State& st) {
+    using Vec = typename VecOf<L>::type;
+    const DmmParams p = solver.opts_.params;  // a copy no store can alias
+    const std::span<Real> v = st.v, dv = st.dv, xs = st.xs, xl = st.xl;
+    const std::span<unsigned char> sign_bit = st.sign_bit;
+    Report r;
+    std::fill(dv.begin(), dv.end(), 0.0);
+    r.clause_energy = solver.all_width3_ ? sweep3<L>(solver, st)
+                                         : sweep_any(solver, st);
+
+    // Adaptive forward-Euler step from the largest voltage rate. Lanes past
+    // the end repeat an item, which a maximum ignores. Each maximum is
+    // std::max's `a < b ? b : a`.
+    Vec rate = {};
+    for_blocks<L>(v.size(), [&](auto whole, std::size_t i) {
+      Vec rate_i;
+      load(rate_i, whole, dv, i);
+      abs_in_place(rate_i);
+      rate = rate < rate_i ? rate_i : rate;
+    });
+    Real max_rate = 0.0;
+    for (std::size_t k = 0; k < L; ++k)
+      max_rate = std::max(max_rate, rate[k]);
+    r.dt_wanted = (max_rate > 0.0) ? p.dv_cap / max_rate : p.dt_max;
+    r.dt = std::clamp(r.dt_wanted, p.dt_min, p.dt_max);
+
+    // The noise is drawn one variable at a time, in order, before the vector
+    // pass adds it: the Rng advances as a scalar loop would advance it.
+    const Real noise_scale =
+        p.noise_stddev > 0.0 ? p.noise_stddev * std::sqrt(r.dt) : 0.0;
+    const bool noisy = noise_scale > 0.0;
+    if (noisy)
+      for (Real& z : st.noise) z = noise_scale * st.rng.normal();
+
+    // Clamps are std::clamp's `x < lo ? lo : (hi < x ? hi : x)`.
+    Vec max_abs;
+    fill_lanes(max_abs, [&](std::size_t) { return st.max_abs_voltage; });
+    for_blocks<L>(v.size(), [&](auto whole, std::size_t i) {
+      Vec vi, dvi;
+      load(vi, whole, v, i);
+      load(dvi, whole, dv, i);
+      Vec nv = vi + r.dt * dvi;
+      if (noisy) {
+        Vec zi;
+        load(zi, whole, st.noise, i);
+        nv += zi;
+      }
+      nv = nv < -1.0 ? -1.0 : (1.0 < nv ? 1.0 : nv);
+      store(whole, v, i, nv);
+      const std::size_t kept = whole ? L : v.size() - i;
+      for (std::size_t k = 0; k < kept; ++k) {
+        const unsigned char bit = nv[k] > 0.0 ? 1 : 0;
+        r.flips += bit != sign_bit[i + k];
+        sign_bit[i + k] = bit;
+      }
+      abs_in_place(nv);
+      max_abs = max_abs < nv ? nv : max_abs;
+    });
+    for (std::size_t k = 0; k < L; ++k)
+      st.max_abs_voltage = std::max(st.max_abs_voltage, max_abs[k]);
+
+    const Real xl_ceiling = p.xl_max * static_cast<Real>(xs.size());
+    for_blocks<L>(xs.size(), [&](auto whole, std::size_t c) {
+      Vec xsc, xlc, dxsc, dxlc;
+      load(xsc, whole, xs, c);
+      load(xlc, whole, xl, c);
+      load(dxsc, whole, st.dxs, c);
+      load(dxlc, whole, st.dxl, c);
+      xsc += r.dt * dxsc;
+      xlc += r.dt * dxlc;
+      store(whole, xs, c, xsc < 0.0 ? 0.0 : (1.0 < xsc ? 1.0 : xsc));
+      store(whole, xl, c,
+            xlc < 1.0 ? 1.0 : (xl_ceiling < xlc ? xl_ceiling : xlc));
+    });
+    return r;
+  }
+
   // Any clause widths, one clause at a time. With s_i = 1 - q_i v_i,
   // min1/min2 are the smallest and second-smallest s (2.0 when absent) and
   // arg1 the first literal that attains min1: the gradient term of literal
   // i takes the minimum over the *other* literals (min2 for arg1, min1 for
-  // the rest), and rigidity holds the critical literal arg1 alone.
-  void sweep_any(std::span<const Real> v, std::span<const Real> xs,
-                 std::span<const Real> xl, std::span<Real> dv,
-                 std::span<Real> dxs, std::span<Real> dxl) {
+  // the rest), and rigidity holds the critical literal arg1 alone. Returns
+  // the summed clause unsatisfaction.
+  static Real sweep_any(const DmmSolver& solver, const State& st) {
     const DmmParams p = solver.opts_.params;  // a copy no store can alias
     const std::uint32_t* first = solver.first_.data();
     const std::uint32_t* var = solver.var_.data();
     const Real* q = solver.q_.data();
     const Real* w = solver.weight_.data();
+    const std::span<const Real> v = st.v, xs = st.xs, xl = st.xl;
+    const std::span<Real> dv = st.dv, dxs = st.dxs, dxl = st.dxl;
     Real energy = 0.0;
     for (std::size_t c = 0; c < xs.size(); ++c) {
       Real min1 = 2.0, min2 = 2.0;
@@ -110,71 +272,94 @@ struct DmmSolver::Kernel {
       dxs[c] = p.beta * (xs[c] + p.epsilon) * (cm - p.gamma);
       dxl[c] = p.long_term_memory ? p.alpha * (cm - p.delta) : 0.0;
     }
-    clause_energy = energy;
+    return energy;
   }
 
-  // All-3-literal formulas, two clauses per vector. A vector pass with no
-  // data-dependent branch computes both clauses' terms; a scalar pass then
+  // All-3-literal formulas, L clauses per vector. A vector pass with no
+  // data-dependent branch computes the block's terms; a scalar pass then
   // adds them into dv in clause order, then literal order. For s0, s1, s2
   // the minimum over the other literals is ex_i = min(s_j, s_k, 2), and the
   // critical literal is 0 when min(s0, 2) <= min(s1, s2), else 1 when
   // s1 < min(s0, 2) and s1 <= s2, else 2: the values and the pick of
-  // sweep_any, from compares instead of jumps.
-  void sweep3(std::span<const Real> v, std::span<const Real> xs,
-              std::span<const Real> xl, std::span<Real> dv,
-              std::span<Real> dxs, std::span<Real> dxl) {
+  // sweep_any, from compares instead of jumps. xs, xl, w, dxs and dxl move
+  // as whole vectors; the literals' q and v are gathered lane by lane.
+  template <int L>
+  static Real sweep3(const DmmSolver& solver, const State& st) {
+    using Vec = typename VecOf<L>::type;
     const DmmParams p = solver.opts_.params;  // a copy no store can alias
     const std::uint32_t* var = solver.var_.data();
     const Real* q = solver.q_.data();
-    const Real* w = solver.weight_.data();
-    const Vec2 two = {2.0, 2.0};
-    const std::size_t m = xs.size();
+    const Real* v = st.v.data();
+    Real* dv = st.dv.data();
+    const std::size_t m = st.xs.size();
     Real energy = 0.0;
-    for (std::size_t c = 0; c < m; c += 2) {
-      // Clause c in lane 0, clause d in lane 1. An odd last clause fills
-      // both lanes, and only lane 0 is kept.
-      const bool pair = c + 1 < m;
-      const std::size_t d = pair ? c + 1 : c;
-      const std::size_t a = 3 * c, b = 3 * d;
-      const Vec2 q0 = {q[a], q[b]}, q1 = {q[a + 1], q[b + 1]},
-                 q2 = {q[a + 2], q[b + 2]};
-      const Vec2 v0 = {v[var[a]], v[var[b]]},
-                 v1 = {v[var[a + 1]], v[var[b + 1]]},
-                 v2 = {v[var[a + 2]], v[var[b + 2]]};
-      const Vec2 s0 = 1.0 - q0 * v0, s1 = 1.0 - q1 * v1, s2 = 1.0 - q2 * v2;
+    for_blocks<L>(m, [&](auto whole, std::size_t c) {
+      // Lane i holds clause c + i; in a partial block, lanes past the last
+      // clause repeat it and are not kept.
+      Vec q0, q1, q2, v0, v1, v2;
+      for (std::size_t i = 0; i < L; ++i) {
+        const std::size_t a = 3 * (whole ? c + i : std::min(c + i, m - 1));
+        q0[i] = q[a], q1[i] = q[a + 1], q2[i] = q[a + 2];
+        v0[i] = v[var[a]], v1[i] = v[var[a + 1]], v2[i] = v[var[a + 2]];
+      }
+      const Vec s0 = 1.0 - q0 * v0, s1 = 1.0 - q1 * v1, s2 = 1.0 - q2 * v2;
 
-      const Vec2 a0 = vmin(s0, two);  // running minimum after literal 0
-      const Vec2 m12 = vmin(s1, s2);
-      const Vec2 ex0 = vmin(m12, two), ex1 = vmin(a0, s2), ex2 = vmin(a0, s1);
-      const Vec2 cm = 0.5 * vmin(a0, m12);  // C_m = min1 / 2
+      // Each minimum is `a < b ? a : b`.
+      const Vec a0 = s0 < 2.0 ? s0 : 2.0;  // running minimum after literal 0
+      const Vec m12 = s1 < s2 ? s1 : s2;
+      const Vec ex0 = m12 < 2.0 ? m12 : 2.0, ex1 = a0 < s2 ? a0 : s2,
+                ex2 = a0 < s1 ? a0 : s1;
+      const Vec cm = 0.5 * (a0 < m12 ? a0 : m12);  // C_m = min1 / 2
 
-      const Vec2 xsv = {xs[c], xs[d]}, xlv = {xl[c], xl[d]}, wv = {w[c], w[d]};
-      const Vec2 gate_g = xlv * xsv;
-      const Vec2 gate_r = (1.0 + p.zeta * xlv) * (1.0 - xsv);
-      Vec2 r0 = {}, r1 = {}, r2 = {};
+      Vec xsv, xlv, wv;
+      load(xsv, whole, st.xs, c);
+      load(xlv, whole, st.xl, c);
+      load(wv, whole, solver.weight_, c);
+      const Vec gate_g = xlv * xsv;
+      const Vec gate_r = (1.0 + p.zeta * xlv) * (1.0 - xsv);
+      Vec r0 = {}, r1 = {}, r2 = {};
       if (p.rigidity) {
         r0 = a0 <= m12 ? 0.5 * (q0 - v0) : r0;
         r1 = (s1 < a0) & (s1 <= s2) ? 0.5 * (q1 - v1) : r1;
         r2 = s2 < ex2 ? 0.5 * (q2 - v2) : r2;
       }
-      const Vec2 t0 = wv * (gate_g * (0.5 * q0 * ex0) + gate_r * r0);
-      const Vec2 t1 = wv * (gate_g * (0.5 * q1 * ex1) + gate_r * r1);
-      const Vec2 t2 = wv * (gate_g * (0.5 * q2 * ex2) + gate_r * r2);
-      const Vec2 dxs2 = p.beta * (xsv + p.epsilon) * (cm - p.gamma);
-      const Vec2 dxl2 = p.long_term_memory ? p.alpha * (cm - p.delta) : Vec2{};
+      const Vec t0 = wv * (gate_g * (0.5 * q0 * ex0) + gate_r * r0);
+      const Vec t1 = wv * (gate_g * (0.5 * q1 * ex1) + gate_r * r1);
+      const Vec t2 = wv * (gate_g * (0.5 * q2 * ex2) + gate_r * r2);
+      const Vec dxs = p.beta * (xsv + p.epsilon) * (cm - p.gamma);
+      const Vec dxl = p.long_term_memory ? p.alpha * (cm - p.delta) : Vec{};
+      store(whole, st.dxs, c, dxs);
+      store(whole, st.dxl, c, dxl);
 
-      energy += cm[0];
-      dv[var[a]] += t0[0], dv[var[a + 1]] += t1[0], dv[var[a + 2]] += t2[0];
-      dxs[c] = dxs2[0], dxl[c] = dxl2[0];
-      if (pair) {
-        energy += cm[1];
-        dv[var[b]] += t0[1], dv[var[b + 1]] += t1[1], dv[var[b + 2]] += t2[1];
-        dxs[d] = dxs2[1], dxl[d] = dxl2[1];
+      const std::size_t kept = whole ? L : m - c;
+      for (std::size_t i = 0; i < kept; ++i) {
+        energy += cm[i];
+        const std::size_t a = 3 * (c + i);
+        dv[var[a]] += t0[i], dv[var[a + 1]] += t1[i], dv[var[a + 2]] += t2[i];
       }
-    }
-    clause_energy = energy;
+    });
+    return energy;
   }
 };
+
+std::size_t detail::dmm_lanes() {
+#if defined(__x86_64__)
+  static const std::size_t lanes = __builtin_cpu_supports("avx2") ? 4 : 2;
+  return lanes;
+#else
+  return 2;
+#endif
+}
+
+DmmSolver detail::dmm_with_lanes(const DmmSolver& solver, std::size_t lanes) {
+  if (lanes != 2 && lanes != dmm_lanes())
+    throw std::invalid_argument(
+        "dmm_with_lanes: this CPU runs the 2-lane build" +
+        std::string(dmm_lanes() == 4 ? " or the 4-lane build" : ""));
+  DmmSolver copy = solver;
+  copy.lanes_ = lanes;
+  return copy;
+}
 
 DmmSolver::Readout DmmSolver::readout(
     std::span<const unsigned char> sign_bits) const {
@@ -366,21 +551,14 @@ DmmSliceOutcome DmmSolver::advance(core::Checkpoint& ckpt,
   const auto ws_scope = ws.scope();
   const std::span<Real> y = ws.real(n + 2 * m);
   const std::span<Real> dydt = ws.real(n + 2 * m);
+  const std::span<Real> noise = ws.real(n);
   const std::span<unsigned char> sign_bit = ws.bytes(n);
-
-  const auto v = y.first(n);
-  const auto xs = y.subspan(n, m);
-  const auto xl = y.subspan(n + m, m);
-  const auto dv = dydt.first(n);
-  const auto dxs = dydt.subspan(n, m);
-  const auto dxl = dydt.subspan(n + m, m);
 
   std::copy(ckpt.state.begin(), ckpt.state.end(), y.begin());
   std::copy(ckpt.flags.begin() + kFlagSign,
             ckpt.flags.begin() + kFlagSign + n, sign_bit.begin());
 
   core::Rng rng = core::Rng::restore(ckpt.rng);
-  Kernel kernel{*this};
 
   DmmResult result;
   result.steps = static_cast<std::size_t>(ckpt.step);
@@ -396,6 +574,12 @@ DmmSliceOutcome DmmSolver::advance(core::Checkpoint& ckpt,
   for (std::size_t i = 0; i <= n; ++i)
     result.assignment[i] = ckpt.flags[kFlagSign + n + i] != 0;
   Real best_weight = ckpt.aux[kAuxBestWeight];
+  Kernel::State state{y.first(n),          y.subspan(n, m),
+                      y.subspan(n + m, m), dydt.first(n),
+                      dydt.subspan(n, m),  dydt.subspan(n + m, m),
+                      noise,               sign_bit,
+                      rng,                 result.max_abs_voltage};
+  const Kernel::StepFn step_once = Kernel::step_for(lanes_);
 
   const std::size_t steps_at_entry = result.steps;
   std::size_t evaluations = 0;
@@ -446,60 +630,34 @@ DmmSliceOutcome DmmSolver::advance(core::Checkpoint& ckpt,
     return now.unsatisfied;
   };
 
-  const Real xl_ceiling = p.xl_max * static_cast<Real>(m);
   const core::detail::SliceClock clock(budget);
   bool finished = false;
 
   for (std::size_t step = result.steps; step < opts_.max_steps; ++step) {
     if (clock.exhausted(step - steps_at_entry)) break;
-    kernel.rhs(result.sim_time, y, dydt);
-
-    // Adaptive forward-Euler step from the largest voltage rate.
-    Real max_rate = 0.0;
-    for (const Real r : dv) max_rate = std::max(max_rate, std::abs(r));
-    const Real dt_wanted = (max_rate > 0.0) ? p.dv_cap / max_rate : p.dt_max;
-    const Real dt = std::clamp(dt_wanted, p.dt_min, p.dt_max);
+    const Kernel::Report taken = step_once(*this, state);
     // The step-control analogue of acceptance/rejection in this scheme: a
     // clamp at dt_min means the dv_cap error target was overridden.
-    dt_clamped_min += dt_wanted < p.dt_min;
-    dt_clamped_max += dt_wanted > p.dt_max;
-    const Real noise_scale =
-        p.noise_stddev > 0.0 ? p.noise_stddev * std::sqrt(dt) : 0.0;
+    dt_clamped_min += taken.dt_wanted < p.dt_min;
+    dt_clamped_max += taken.dt_wanted > p.dt_max;
 
-    std::size_t flips = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      Real nv = v[i] + dt * dv[i];
-      if (noise_scale > 0.0) nv += noise_scale * rng.normal();
-      v[i] = std::clamp(nv, -1.0, 1.0);
-      result.max_abs_voltage = std::max(result.max_abs_voltage, std::abs(v[i]));
-      const unsigned char s = v[i] > 0.0 ? 1 : 0;
-      if (s != sign_bit[i]) {
-        sign_bit[i] = s;
-        ++flips;
-      }
-    }
-    for (std::size_t cm = 0; cm < m; ++cm) {
-      xs[cm] = std::clamp(xs[cm] + dt * dxs[cm], 0.0, 1.0);
-      xl[cm] = std::clamp(xl[cm] + dt * dxl[cm], 1.0, xl_ceiling);
-    }
-
-    result.sim_time += dt;
+    result.sim_time += taken.dt;
     ++result.steps;
-    if (opts_.track_avalanches && flips > 0)
-      result.avalanche_sizes.push_back(flips);
+    if (opts_.track_avalanches && taken.flips > 0)
+      result.avalanche_sizes.push_back(taken.flips);
     if (opts_.energy_stride > 0 && step % opts_.energy_stride == 0)
-      result.energy_trace.push_back(kernel.clause_energy);
+      result.energy_trace.push_back(taken.clause_energy);
     if (step % kEnergyTelemStride == 0) {
       if (telem)
         telemetry::Telemetry::instance().metrics().record(
-            "dmm.clause_energy", kernel.clause_energy);
+            "dmm.clause_energy", taken.clause_energy);
       // Same decimation keeps the timeline's energy track bounded: one
       // sample per 64 integration steps, not one per step.
-      TELEM_TRACE_COUNTER("dmm.clause_energy", kernel.clause_energy);
+      TELEM_TRACE_COUNTER("dmm.clause_energy", taken.clause_energy);
     }
 
     // The digital readout only changes when some voltage crossed zero.
-    if (flips > 0) {
+    if (taken.flips > 0) {
       const std::size_t unsat = evaluate_assignment();
       if (unsat == 0 && !opts_.maxsat_mode) {
         result.satisfied = true;

@@ -120,6 +120,19 @@ struct DmmSliceOutcome {
   DmmResult result;   ///< valid only when done
 };
 
+class DmmSolver;
+
+namespace detail {
+/// Clauses per vector in DmmSolver's step loop on this CPU: 4 where it has
+/// AVX2 (x86-64), else 2 (DESIGN.md §16). Picked once per process, from the
+/// CPU alone; both builds give bit-identical results.
+std::size_t dmm_lanes();
+/// Test and benchmark seam: a copy of `solver` whose step loop runs the
+/// `lanes`-lane build, 2 anywhere or 4 where dmm_lanes() is 4. Throws
+/// std::invalid_argument for any other lane count.
+DmmSolver dmm_with_lanes(const DmmSolver& solver, std::size_t lanes);
+}  // namespace detail
+
 class DmmSolver {
  public:
   DmmSolver(const Cnf& cnf, DmmOptions options);
@@ -181,7 +194,8 @@ class DmmSolver {
                             DmmEnsembleResult* result = nullptr) const;
 
  private:
-  struct Kernel;  // static-dispatch RHS over packed state [v | xs | xl]
+  friend DmmSolver detail::dmm_with_lanes(const DmmSolver&, std::size_t);
+  struct Kernel;  // the integration step over packed state [v | xs | xl]
   /// Clauses the sign bits (1 = variable true) leave unsatisfied, and their
   /// summed weight, accumulated in clause order.
   struct Readout {
@@ -200,6 +214,7 @@ class DmmSolver {
   std::vector<Real> q_;
   std::vector<Real> weight_;
   bool all_width3_ = true;  ///< every clause has 3 literals (vector sweep)
+  std::size_t lanes_ = detail::dmm_lanes();  ///< the step loop's build
 };
 
 }  // namespace rebooting::memcomputing

@@ -50,7 +50,8 @@ BoundedJobQueue::PushStatus BoundedJobQueue::push(
 }
 
 std::optional<QueuedJob> BoundedJobQueue::pop(
-    std::optional<Clock::time_point> deadline) {
+    std::optional<Clock::time_point> deadline,
+    const std::function<bool()>& give_up) {
   std::unique_lock lock(mutex_);
   for (;;) {
     if (closed_) return std::nullopt;  // leftovers are for flush()
@@ -68,11 +69,17 @@ std::optional<QueuedJob> BoundedJobQueue::pop(
       wake = std::min(wake, it->ready_at);
     }
     if (deadline && now >= *deadline) return std::nullopt;
+    if (give_up && give_up()) return std::nullopt;
     if (wake == Clock::time_point::max())
       not_empty_.wait(lock);
     else
       not_empty_.wait_until(lock, wake);
   }
+}
+
+void BoundedJobQueue::wake() {
+  std::lock_guard lock(mutex_);
+  not_empty_.notify_all();
 }
 
 bool BoundedJobQueue::requeue(QueuedJob& item) {

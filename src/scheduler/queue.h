@@ -14,6 +14,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -36,13 +37,20 @@ class BoundedJobQueue {
   PushStatus push(QueuedJob& item, std::optional<QueuedJob>* shed);
 
   /// Blocks until an entry is ready and returns the front of the priority
-  /// order among the ready ones, or nullopt once the queue is closed or, if
-  /// given, `deadline` passes (work-stealing workers poll their own queue
-  /// this way before looking for a victim; check closed() to tell the two
-  /// apart). A successful pop marks one task in flight; the consumer must
-  /// pair it with task_done().
+  /// order among the ready ones, or nullopt once the queue is closed, once
+  /// `deadline` (if given) passes, or once `give_up` (if given) returns
+  /// true. `give_up` is called under the queue's lock before every wait, and
+  /// wake() makes each waiting pop call it again. Work-stealing workers poll
+  /// their own queue with a deadline before looking for a victim, or wait
+  /// with `give_up` while no victim exists; check closed() to tell the
+  /// outcomes apart. A successful pop marks one task in flight; the consumer
+  /// must pair it with task_done().
   std::optional<QueuedJob> pop(
-      std::optional<Clock::time_point> deadline = std::nullopt);
+      std::optional<Clock::time_point> deadline = std::nullopt,
+      const std::function<bool()>& give_up = {});
+
+  /// Wakes every waiting pop() to call its `give_up` again.
+  void wake();
 
   /// Puts back a job a worker popped and did not finish (a retry, a
   /// failover hop or a yield), to be dequeued from `item.ready_at` on.

@@ -5,6 +5,7 @@
 #include <sched.h>
 #endif
 
+#include <algorithm>
 #include <cmath>
 #include <future>
 #include <sstream>
@@ -166,6 +167,11 @@ void Scheduler::add_pool(core::AcceleratorKind kind, std::size_t workers,
         "adding it twice");
   Pool& p = *it->second;
   slot.store(&p, std::memory_order_release);
+  // The new pool is a victim for every other pool's stealing workers; wake
+  // the ones that wait with no deadline because they had none.
+  if (config_.work_stealing)
+    for (const auto& [other_kind, other] : pools_)
+      if (other.get() != &p) other->queue.wake();
   for (std::size_t i = 0; i < workers; ++i) {
     p.threads.emplace_back(&Scheduler::worker_loop, this, std::ref(p),
                            std::ref(*p.replicas[i]), std::ref(*p.workers[i]),
@@ -406,8 +412,13 @@ void Scheduler::worker_loop(Pool& pool, core::Accelerator& replica,
     std::optional<QueuedJob> popped;
     if (config_.work_stealing) {
       // Poll the home queue briefly, then go looking for an overloaded
-      // victim pool; an idle system just cycles the poll.
-      popped = pool.queue.pop(Clock::now() + config_.steal_poll);
+      // victim pool; an idle system just cycles the poll. A pool with no
+      // other pool beside it has no victim: its workers wait with no
+      // deadline until add_pool adds a pool and wakes them.
+      const auto has_victim = [&] { return has_other_pool(pool); };
+      popped = has_victim()
+                   ? pool.queue.pop(Clock::now() + config_.steal_poll)
+                   : pool.queue.pop(std::nullopt, has_victim);
       if (!popped) {
         if (pool.queue.closed()) break;
         popped = steal_from_other_pool(pool, source);
@@ -423,6 +434,13 @@ void Scheduler::worker_loop(Pool& pool, core::Accelerator& replica,
     execute(pool, *source, replica, target, faulty, state,
             std::move(*popped));
   }
+}
+
+bool Scheduler::has_other_pool(const Pool& pool) const {
+  return std::any_of(by_kind_.begin(), by_kind_.end(), [&](const auto& slot) {
+    const Pool* other = slot.load(std::memory_order_acquire);
+    return other != nullptr && other != &pool;
+  });
 }
 
 std::optional<QueuedJob> Scheduler::steal_from_other_pool(

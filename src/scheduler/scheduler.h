@@ -90,7 +90,8 @@ struct SchedulerConfig {
   /// accelerator argument tolerate.
   bool work_stealing = false;
   /// How long a stealing-enabled worker waits on its own queue before
-  /// looking for a victim pool.
+  /// looking for a victim pool. While its pool is the only one, it waits
+  /// with no deadline instead, until add_pool adds another.
   Clock::duration steal_poll = std::chrono::milliseconds(2);
   /// Pin each worker thread to one CPU of the affinity mask of the thread
   /// that calls add_pool, in start order across every pool, wrapping when
@@ -287,6 +288,8 @@ class Scheduler {
   void run_attempt(Pool& pool, core::Accelerator& replica,
                    core::Accelerator& target, core::FaultyAccelerator* faulty,
                    Worker& state, QueuedJob& item);
+  /// True when a pool other than `pool` exists: a victim to steal from.
+  bool has_other_pool(const Pool& pool) const;
   /// Picks the deepest other pool's queue and steals its best stealable job.
   std::optional<QueuedJob> steal_from_other_pool(const Pool& thief,
                                                  BoundedJobQueue*& source);

@@ -542,8 +542,8 @@ TEST(Service, MetricsVerbReturnsSnapshotAndRates) {
   EXPECT_TRUE(first->body.at("pools").is_object());
   EXPECT_TRUE(first->body.at("sched").is_object());
 
-  // Each metrics call is one sampler tick; from the second on, counter
-  // rates over the inter-call window are defined.
+  // Each metrics call takes one registry sample; from the second on, counter
+  // rates over the window since the previous call's sample are defined.
   std::this_thread::sleep_for(5ms);
   ASSERT_TRUE(client.call(submit_spin(3, 50.0)).has_value());
   const auto second = client.call(req);
@@ -571,8 +571,8 @@ TEST(Service, WatchStreamsFramesUntilTheClientUnsubscribes) {
     EXPECT_TRUE(frame->streaming) << "frame " << i << " must be non-terminal";
     EXPECT_TRUE(frame->body.is_object());
   }
-  // Disconnecting is the unsubscribe; the server must shed the dead
-  // subscription instead of wedging its watch pump on it.
+  // Disconnecting is the unsubscribe; the connection's reader must drop the
+  // dead subscription with its connection, and the server keeps answering.
   client.close();
   rebootctl::Client probe = connect_client(server);
   net::Request ping;

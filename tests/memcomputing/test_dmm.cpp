@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "memcomputing/ising.h"
 #include "memcomputing/sat.h"
 
@@ -614,6 +618,105 @@ TEST(DmmWorkspace, DirtyWorkspaceReproducesAFreshSolve) {
   EXPECT_EQ(got.energy_trace, want.energy_trace);
   EXPECT_EQ(got.avalanche_sizes, want.avalanche_sizes);
   EXPECT_EQ(got_draw, want_draw);
+}
+
+// One solve from `rng` through the 2-lane and the 4-lane build of the step
+// loop: every DmmResult field and the next Rng draw must be equal.
+DmmResult expect_lanes_agree(const Cnf& cnf, const DmmOptions& opts,
+                             const core::Rng& rng) {
+  const DmmSolver solver(cnf, opts);
+  core::Rng rng2 = rng, rng4 = rng;
+  const DmmResult two = detail::dmm_with_lanes(solver, 2).solve(rng2);
+  const DmmResult four = detail::dmm_with_lanes(solver, 4).solve(rng4);
+  EXPECT_EQ(four.satisfied, two.satisfied);
+  EXPECT_EQ(four.assignment, two.assignment);
+  EXPECT_EQ(four.steps, two.steps);
+  EXPECT_EQ(four.steps_to_best, two.steps_to_best);
+  EXPECT_EQ(four.sim_time, two.sim_time);
+  EXPECT_EQ(four.best_unsatisfied, two.best_unsatisfied);
+  EXPECT_EQ(four.best_unsatisfied_weight, two.best_unsatisfied_weight);
+  EXPECT_EQ(four.hit_limit, two.hit_limit);
+  EXPECT_EQ(four.energy_trace, two.energy_trace);
+  EXPECT_EQ(four.avalanche_sizes, two.avalanche_sizes);
+  EXPECT_EQ(four.max_abs_voltage, two.max_abs_voltage);
+  EXPECT_EQ(rng4(), rng2());
+  return two;
+}
+
+TEST(DmmLanes, FourLaneBuildEqualsTwoLaneBuild) {
+  if (detail::dmm_lanes() < 4) GTEST_SKIP() << "this CPU has no AVX2";
+
+  // rebootd's `sat` shape and budget; 1001, 1008 and 1011 run all of it.
+  DmmOptions rebootd;
+  rebootd.max_steps = 20'000;
+  std::vector<std::uint64_t> budget_runs;
+  for (std::uint64_t seed = 1000; seed <= 1011; ++seed) {
+    SCOPED_TRACE("rebootd seed " + std::to_string(seed));
+    core::Rng rng(seed);
+    const Cnf cnf = random_ksat(rng, 50, 200, 3);
+    if (expect_lanes_agree(cnf, rebootd, rng).hit_limit)
+      budget_runs.push_back(seed);
+  }
+  EXPECT_EQ(budget_runs, (std::vector<std::uint64_t>{1001, 1008, 1011}));
+
+  // 51 variables and 213 clauses: both builds end on a partial block (213
+  // is odd; 51 and 213 leave 3 and 1 over at 4 lanes), under an energy
+  // trace and avalanche tracking.
+  core::Rng gen(4242);
+  const auto odd = planted_ksat(gen, 51, 213, 3);
+  DmmOptions traced;
+  traced.max_steps = 4000;
+  traced.energy_stride = 7;
+  traced.track_avalanches = true;
+  {
+    SCOPED_TRACE("odd sizes, traced");
+    expect_lanes_agree(odd.cnf, traced, core::Rng(1));
+  }
+  DmmOptions ablated = traced;
+  ablated.params.rigidity = false;
+  {
+    SCOPED_TRACE("rigidity off");
+    expect_lanes_agree(odd.cnf, ablated, core::Rng(2));
+  }
+  ablated = traced;
+  ablated.params.long_term_memory = false;
+  {
+    SCOPED_TRACE("long-term memory off");
+    expect_lanes_agree(odd.cnf, ablated, core::Rng(3));
+  }
+  DmmOptions noisy = traced;
+  noisy.params.noise_stddev = 0.3;
+  {
+    SCOPED_TRACE("noise");
+    expect_lanes_agree(odd.cnf, noisy, core::Rng(4));
+  }
+
+  // Clauses of other widths take the scalar sweep; the Euler loops still
+  // run at the build's lane count.
+  core::Rng loops(13);
+  const Cnf ising = ising_to_cnf(make_frustrated_loops(loops, 5, 6).model);
+  DmmOptions maxsat = traced;
+  maxsat.maxsat_mode = true;
+  {
+    SCOPED_TRACE("weighted 2-literal MaxSAT");
+    expect_lanes_agree(ising, maxsat, core::Rng(5));
+  }
+}
+
+TEST(DmmLanes, SeamOffersOnlyTheBuildsThisCpuRuns) {
+  const std::size_t lanes = detail::dmm_lanes();
+  EXPECT_TRUE(lanes == 2 || lanes == 4) << lanes;
+  Cnf cnf(2);
+  cnf.add_clause({1, 2});
+  const DmmSolver solver(cnf, {});
+  EXPECT_NO_THROW(detail::dmm_with_lanes(solver, 2));
+  EXPECT_NO_THROW(detail::dmm_with_lanes(solver, lanes));
+  for (const std::size_t bad : {0, 1, 3, 8})
+    EXPECT_THROW(detail::dmm_with_lanes(solver, bad), std::invalid_argument)
+        << bad;
+  if (lanes == 2) {
+    EXPECT_THROW(detail::dmm_with_lanes(solver, 4), std::invalid_argument);
+  }
 }
 
 TEST(Dmm, EmptyFormulaRejected) {

@@ -12,6 +12,7 @@
 #include <pthread.h>
 #include <sched.h>
 #endif
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <atomic>
@@ -868,6 +869,63 @@ TEST(SchedulerStealing, IdleWorkersStealStealableJobs) {
   EXPECT_TRUE(blocker.get().ok);
   scheduler.drain();
   EXPECT_EQ(scheduler.stats(AcceleratorKind::kClassicalCpu).queue_depth, 0u);
+}
+
+long voluntary_context_switches() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_nvcsw;
+}
+
+TEST(SchedulerStealing, AnIdleLonePoolDoesNotPoll) {
+  // Three workers polling every 2 ms would switch ~300 times in 200 ms.
+  Scheduler scheduler({.work_stealing = true});
+  scheduler.add_pool(AcceleratorKind::kClassicalCpu, 3,
+                     core::CpuAccelerator::factory());
+  std::this_thread::sleep_for(50ms);  // the workers reach their first wait
+  const long before = voluntary_context_switches();
+  std::this_thread::sleep_for(200ms);
+  EXPECT_LT(voluntary_context_switches() - before, 30);
+}
+
+TEST(SchedulerStealing, APoolAddedLaterIsStolenFrom) {
+  Scheduler scheduler({.queue_capacity = 16,
+                       .work_stealing = true,
+                       .steal_poll = 1ms});
+  scheduler.add_pool(AcceleratorKind::kOscillator, 1,
+                     oscillator::OscillatorAccelerator::factory({}));
+  // Alone, the oscillator worker waits with no deadline; adding the CPU
+  // pool must wake it to poll for a victim.
+  std::this_thread::sleep_for(50ms);
+  scheduler.add_pool(AcceleratorKind::kClassicalCpu, 1,
+                     core::CpuAccelerator::factory());
+
+  std::latch entered{1};
+  std::latch gate{1};
+  auto blocker = scheduler.submit(cpu_job("blocker", [&] {
+    entered.count_down();
+    gate.wait();
+    return ok_result();
+  }));
+  entered.wait();
+  std::vector<std::future<core::JobResult>> futures;
+  for (int i = 0; i < 4; ++i) {
+    JobOptions opts;
+    opts.stealable = true;
+    futures.push_back(scheduler.submit(
+        cpu_job("stealable" + std::to_string(i), [] { return ok_result(); }),
+        opts));
+  }
+  // All four must complete while the CPU worker is still wedged. The gate
+  // opens either way, so a failure here cannot hang shutdown.
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  for (auto& f : futures)
+    EXPECT_EQ(f.wait_until(deadline), std::future_status::ready);
+  EXPECT_FALSE(ready(blocker));
+  EXPECT_GE(scheduler.stats().steals, 4u);
+  gate.count_down();
+  for (auto& f : futures) EXPECT_TRUE(f.get().ok);
+  EXPECT_TRUE(blocker.get().ok);
 }
 
 TEST(SchedulerStealing, NonStealableJobsStayOnTheirQueue) {
