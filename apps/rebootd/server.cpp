@@ -378,12 +378,12 @@ bool Server::read_frames(const std::shared_ptr<Connection>& conn,
   std::string frame;
   while (in.size() - at >= 4) {
     const std::uint32_t n = net::frame_length(in.data() + at);
-    if (n > config_.max_frame_bytes) {
+    if (n > net::kMaxFrameBytes) {
       TELEM_COUNT("net.frame_oversized");
       net::Response resp;
       resp.status = net::Status::kBadRequest;
-      resp.summary = "frame exceeds " +
-                     std::to_string(config_.max_frame_bytes) + " bytes";
+      resp.summary =
+          "frame exceeds " + std::to_string(net::kMaxFrameBytes) + " bytes";
       conn->push(resp);
       more = false;  // the unread body makes the stream unparseable; hang up
       break;

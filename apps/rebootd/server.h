@@ -76,7 +76,6 @@ struct ServerConfig {
   /// Off for an embedded server, which shares its process; the rebootd
   /// binary, which owns its host, turns it on.
   bool pin_workers = false;
-  std::size_t max_frame_bytes = net::kMaxFrameBytes;
   /// RetryPolicy for submitted workloads; all workloads are self-contained,
   /// so cpu_fallback is always enabled.
   std::size_t retry_attempts = 3;

@@ -5,7 +5,7 @@
 //      jobs at a 90% key-repeat rate must complete >= 5x faster than at 0%,
 //      because hits replay a stored JobResult instead of occupying a worker.
 //   2. The price of looking is near zero: with every key distinct (100%
-//      miss — the cache never helps), memoized submits may cost at most 5%
+//      miss — the cache never helps), memoized submits must cost less than 5%
 //      more wall time than the same jobs submitted without a memo_key.
 //   3. A raw ShardedCache::get on a hot key costs nanoseconds, reported as
 //      ns/lookup from a tight microloop.
@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <functional>
 #include <future>
 #include <iostream>
@@ -25,11 +24,10 @@
 
 #include "bench_util.h"
 #include "core/cache.h"
-#include "core/json.h"
-#include "core/table.h"
 #include "scheduler/scheduler.h"
 
 using namespace rebooting;
+using bench::Better;
 
 namespace {
 
@@ -85,12 +83,12 @@ double run_phase(const std::string& label,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string out_path =
-      rebooting::bench::artifact_path(argc, argv, "BENCH_cache.json");
+  bench::Report report("cache_throughput", "BENCH_cache.json", argc, argv);
   core::print_banner(std::cout,
                      "result-cache throughput — memoized submit rate vs hit "
                      "rate, plus the price of a miss");
   core::set_cache_enabled(true);
+  report.param("jobs", kJobs);
 
   // --- claim 1: throughput scales with hit rate --------------------------
   const double t_hit0 =
@@ -98,12 +96,12 @@ int main(int argc, char** argv) {
   const double t_hit90 = run_phase("hit90", [](int i) {
     return "b-" + std::to_string(i % kDistinctAt90);
   });
-  const double tput_hit0 = kJobs / t_hit0;
-  const double tput_hit90 = kJobs / t_hit90;
-  const double speedup = tput_hit90 / tput_hit0;
-  const bool speedup_ok = speedup >= kSpeedupGate;
+  report.measure("throughput_hit0", "1/s", kJobs / t_hit0, Better::kHigher);
+  report.measure("throughput_hit90", "1/s", kJobs / t_hit90, Better::kHigher);
+  report.gate("speedup", "x", t_hit0 / t_hit90, Better::kHigher,
+              kSpeedupGate);
 
-  // --- claim 2: a miss costs <= 5% over no memoization at all ------------
+  // --- claim 2: a miss costs < 5% over no memoization at all -------------
   // Best-of-N on both sides: the gate compares the machinery, not the
   // scheduler's worst jitter. Keys are distinct across trials so every
   // memoized submit is a genuine miss.
@@ -115,8 +113,8 @@ int main(int argc, char** argv) {
       return "c-" + std::to_string(trial) + "-" + std::to_string(i);
     }));
   }
-  const double overhead = t_memo_on / t_memo_off - 1.0;
-  const bool overhead_ok = overhead <= kOverheadGate;
+  report.gate("miss_overhead", "frac", t_memo_on / t_memo_off - 1.0,
+              Better::kLower, kOverheadGate);
 
   // --- claim 3: ns per hot lookup ----------------------------------------
   core::CacheConfig cfg;
@@ -135,46 +133,10 @@ int main(int argc, char** argv) {
   const auto lk_start = Clock::now();
   for (int i = 0; i < kLookups; ++i)
     sink += static_cast<std::uint64_t>(*cache.get(keys[i & (kKeys - 1)]));
-  const double ns_per_lookup =
-      seconds_between(lk_start, Clock::now()) * 1e9 / kLookups;
+  report.measure("lookup", "ns",
+                 seconds_between(lk_start, Clock::now()) * 1e9 / kLookups,
+                 Better::kLower);
+  report.param("lookup_checksum", sink & 0xFFFF);
 
-  core::Table table({"metric", "value"}, 4);
-  table.add_row({std::string("jobs per phase"),
-                 static_cast<std::int64_t>(kJobs)});
-  table.add_row({std::string("throughput @ 0% hit [jobs/s]"), tput_hit0});
-  table.add_row({std::string("throughput @ 90% hit [jobs/s]"), tput_hit90});
-  table.add_row({std::string("speedup (gate >= 5)"), speedup});
-  table.add_row({std::string("miss path overhead (gate <= 0.05)"), overhead});
-  table.add_row({std::string("ns per hot lookup"), ns_per_lookup});
-  std::cout << '\n';
-  table.print(std::cout);
-  std::cout << "\nspeedup gate: " << speedup << "x vs " << kSpeedupGate
-            << "x -> " << (speedup_ok ? "PASS" : "FAIL")
-            << "\noverhead gate: " << overhead * 100.0 << "% vs "
-            << kOverheadGate * 100.0 << "% -> "
-            << (overhead_ok ? "PASS" : "FAIL") << '\n';
-
-  {
-    std::ofstream json(out_path);
-    json << "{\n"
-         << "  \"bench\": " << core::json_quote("cache_throughput") << ",\n"
-         << "  \"jobs\": " << kJobs << ",\n"
-         << "  \"throughput_hit0_per_s\": " << core::json_number(tput_hit0)
-         << ",\n"
-         << "  \"throughput_hit90_per_s\": " << core::json_number(tput_hit90)
-         << ",\n"
-         << "  \"speedup\": " << core::json_number(speedup) << ",\n"
-         << "  \"speedup_gate\": " << core::json_number(kSpeedupGate) << ",\n"
-         << "  \"miss_overhead\": " << core::json_number(overhead) << ",\n"
-         << "  \"miss_overhead_gate\": " << core::json_number(kOverheadGate)
-         << ",\n"
-         << "  \"ns_per_lookup\": " << core::json_number(ns_per_lookup)
-         << ",\n"
-         << "  \"lookup_checksum\": " << (sink & 0xFFFF) << ",\n"
-         << "  \"gate\": "
-         << core::json_quote(speedup_ok && overhead_ok ? "pass" : "fail")
-         << "\n}\n";
-    std::cout << "wrote " << out_path << '\n';
-  }
-  return speedup_ok && overhead_ok ? 0 : 1;
+  return report.finish();
 }

@@ -8,25 +8,22 @@
 //     1, 2, and hardware_concurrency threads.
 //  2. Throughput (gated only where the hardware can show it): the parallel
 //     ensemble beats the serial run by >= 3x on >= 8 cores, >= 1.8x on 4-7
-//     cores; below 4 cores the curve is reported but not gated.
+//     cores; below 4 cores the speedup record reads "skipped: <reason>".
 //
 // Plus an ungated stepping microbenchmark: ns per state element of the
 // templated kernel path on a pure decay system.
 #include <chrono>
 #include <cmath>
-#include <fstream>
 #include <iostream>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
-#include "core/json.h"
-#include "core/table.h"
 #include "memcomputing/dmm.h"
 #include "memcomputing/sat.h"
 
 using namespace rebooting;
 using namespace rebooting::memcomputing;
+using bench::Better;
 
 namespace {
 
@@ -91,14 +88,12 @@ core::Real stepping_microbench() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string out_path =
-      rebooting::bench::artifact_path(argc, argv, "BENCH_dynamics.json");
+  bench::Report report("dynamics_ensemble", "BENCH_dynamics.json", argc, argv);
   core::print_banner(std::cout,
                      "E9 — static-dispatch kernels & parallel trajectory "
                      "ensembles (64-restart DMM sweep)");
 
-  const std::size_t cores =
-      std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t cores = bench::cores();
 
   core::Rng gen(424242);
   const auto inst = planted_ksat(gen, 70, 297, 3);
@@ -119,80 +114,25 @@ int main(int argc, char** argv) {
 
   const DmmEnsembleResult two = run_sweep(solver, 2);
 
-  const bool reproducible =
-      sweeps_identical(serial, parallel) && sweeps_identical(serial, two);
+  report.param("restarts", kRestarts);
+  report.param("winner_index", serial.best_index);
+  report.measure("serial", "s", serial_s, Better::kLower);
+  report.measure("parallel", "s", parallel_s, Better::kLower);
+  report.check("reproducible", sweeps_identical(serial, parallel) &&
+                                   sweeps_identical(serial, two));
+
+  // A host below 4 cores records an explicit skip, not a pass: the parallel
+  // claim was not checked there.
   const core::Real speedup = parallel_s > 0.0 ? serial_s / parallel_s : 0.0;
-  const core::Real kernel_ns = stepping_microbench();
-
-  core::Table table({"metric", "value"}, 4);
-  table.add_row({std::string("hardware cores"),
-                 static_cast<std::int64_t>(cores)});
-  table.add_row({std::string("restarts"),
-                 static_cast<std::int64_t>(kRestarts)});
-  table.add_row({std::string("satisfied restarts winner idx"),
-                 static_cast<std::int64_t>(serial.best_index)});
-  table.add_row({std::string("serial wall [s]"), serial_s});
-  table.add_row({std::string("parallel wall [s]"), parallel_s});
-  table.add_row({std::string("speedup"), speedup});
-  table.add_row({std::string("bit-reproducible across 1/2/all threads"),
-                 std::string(reproducible ? "yes" : "NO")});
-  table.add_row({std::string("kernel stepping [ns/elem]"), kernel_ns});
-  std::cout << '\n';
-  table.print(std::cout);
-
-  // Hardware-aware throughput gate.
-  core::Real required = 0.0;
-  if (cores >= 8)
-    required = 3.0;
-  else if (cores >= 4)
-    required = 1.8;
-  const bool speedup_ok = required == 0.0 || speedup >= required;
-  // Three-way verdict, emitted into the JSON as well: a 1-core CI runner
-  // must show up as an explicit "skipped", not silently report exit 0 as if
-  // the parallel claim had been checked.
-  const char* gate_verdict =
-      required == 0.0 ? "skipped" : (speedup_ok ? "pass" : "fail");
-  std::string gate_reason;
-  if (required == 0.0)
-    gate_reason = "only " + std::to_string(cores) +
-                  " core(s) visible; gating needs >= 4";
-  if (required == 0.0)
-    std::cout << "\nspeedup gate skipped: only " << cores
-              << " core(s) visible (need >= 4 to gate)\n";
+  if (cores >= 4)
+    report.gate("speedup", "x", speedup, Better::kHigher,
+                cores >= 8 ? 3.0 : 1.8);
   else
-    std::cout << "\nspeedup gate: " << speedup << "x vs required "
-              << required << "x on " << cores << " cores -> "
-              << (speedup_ok ? "PASS" : "FAIL") << '\n';
-  std::cout << "reproducibility gate: "
-            << (reproducible ? "PASS" : "FAIL") << '\n';
+    report.skip("speedup", "x", speedup, Better::kHigher,
+                "only " + std::to_string(cores) +
+                    " core(s) visible; gating needs >= 4");
+  report.measure("kernel_per_element", "ns", stepping_microbench(),
+                 Better::kLower);
 
-  {
-    std::ofstream json(out_path);
-    json << "{\n"
-         << "  \"bench\": " << core::json_quote("dynamics_ensemble") << ",\n"
-         << "  \"cores\": " << core::json_number(static_cast<std::int64_t>(cores))
-         << ",\n"
-         << "  \"restarts\": "
-         << core::json_number(static_cast<std::int64_t>(kRestarts)) << ",\n"
-         << "  \"serial_seconds\": " << core::json_number(serial_s) << ",\n"
-         << "  \"parallel_seconds\": " << core::json_number(parallel_s) << ",\n"
-         << "  \"speedup\": " << core::json_number(speedup) << ",\n"
-         << "  \"speedup_required\": " << core::json_number(required) << ",\n"
-         << "  \"speedup_gated\": " << (required > 0.0 ? "true" : "false")
-         << ",\n"
-         << "  \"speedup_gate\": " << core::json_quote(gate_verdict) << ",\n"
-         << "  \"speedup_gate_reason\": " << core::json_quote(gate_reason)
-         << ",\n"
-         << "  \"reproducible\": " << (reproducible ? "true" : "false") << ",\n"
-         << "  \"winner_index\": "
-         << core::json_number(static_cast<std::int64_t>(serial.best_index))
-         << ",\n"
-         << "  \"kernel_ns_per_element\": " << core::json_number(kernel_ns)
-         << "\n}\n";
-    std::cout << "wrote " << out_path << '\n';
-  }
-
-  if (!reproducible) return 1;
-  if (!speedup_ok) return 2;
-  return 0;
+  return report.finish();
 }

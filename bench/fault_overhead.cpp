@@ -16,20 +16,15 @@
 // kCallsPerPass real on_attempt() calls, minimum pass reported, empty-loop
 // baseline with the same volatile sink subtracted, asm memory clobber after
 // each call so the disabled-path branch cannot be hoisted.
-#include <algorithm>
-#include <chrono>
-#include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 
 #include "bench_util.h"
 #include "core/accelerator.h"
 #include "core/faults.h"
-#include "core/json.h"
-#include "core/table.h"
 
 using namespace rebooting;
+using bench::Better;
 using core::Real;
 
 namespace {
@@ -39,38 +34,19 @@ constexpr std::size_t kPasses = 25;
 constexpr Real kDisabledGateNs = 2.0;
 constexpr Real kEnabledGateNs = 250.0;
 
-using Clock = std::chrono::steady_clock;
-
-inline void clobber() { asm volatile("" ::: "memory"); }
-
 template <typename Body>
 Real min_pass_ns(const Body& body) {
-  Real best = std::numeric_limits<Real>::infinity();
-  for (std::size_t pass = 0; pass < kPasses; ++pass) {
-    const auto start = Clock::now();
-    for (std::size_t i = 0; i < kCallsPerPass; ++i) {
-      body(i);
-      clobber();
-    }
-    const Real ns =
-        std::chrono::duration<Real, std::nano>(Clock::now() - start).count();
-    best = std::min(best, ns / static_cast<Real>(kCallsPerPass));
-  }
-  return best;
+  return bench::min_pass_ns(kPasses, kCallsPerPass, body);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string out_path =
-      rebooting::bench::artifact_path(argc, argv, "BENCH_faults.json");
+  bench::Report report("fault_overhead", "BENCH_faults.json", argc, argv);
   core::print_banner(std::cout,
                      "Fault injector overhead — disabled / enabled path cost");
-  std::cout << "\n"
-            << kCallsPerPass << " calls/pass, " << kPasses
-            << " passes, min-pass reported; gates: disabled < "
-            << kDisabledGateNs << " ns, enabled < " << kEnabledGateNs
-            << " ns\n\n";
+  report.param("calls_per_pass", kCallsPerPass);
+  report.param("passes", kPasses);
 
   // The three decorators under test share one inner accelerator type; the
   // sink keeps the verdicts observable.
@@ -95,66 +71,18 @@ int main(int argc, char** argv) {
   volatile int sink = 0;
 
   const Real baseline_ns = min_pass_ns([&](std::size_t) { sink = sink + 1; });
+  report.measure("baseline", "ns", baseline_ns, Better::kLower);
+  const auto gate = [&](const char* metric, core::FaultyAccelerator& injector,
+                        Real bound) {
+    const Real ns = min_pass_ns([&](std::size_t i) {
+      sink = static_cast<int>(injector.on_attempt(i, 1).kind);
+    });
+    report.gate(metric, "ns", ns - baseline_ns, Better::kLower, bound);
+  };
+  gate("disabled_null_plan", null_plan, kDisabledGateNs);
+  gate("disabled_non_covering", non_covering, kDisabledGateNs);
+  gate("enabled_verdict", enabled, kEnabledGateNs);
+  report.param("verdicts_drawn", enabled.calls());
 
-  const Real null_plan_ns = min_pass_ns([&](std::size_t i) {
-    sink = static_cast<int>(null_plan.on_attempt(i, 1).kind);
-  }) - baseline_ns;
-  const Real non_covering_ns = min_pass_ns([&](std::size_t i) {
-    sink = static_cast<int>(non_covering.on_attempt(i, 1).kind);
-  }) - baseline_ns;
-  const Real enabled_ns = min_pass_ns([&](std::size_t i) {
-    sink = static_cast<int>(enabled.on_attempt(i, 1).kind);
-  }) - baseline_ns;
-
-  const Real disabled_worst = std::max(null_plan_ns, non_covering_ns);
-  const bool disabled_ok = disabled_worst < kDisabledGateNs;
-  const bool enabled_ok = enabled_ns < kEnabledGateNs;
-
-  core::Table table({"path", "ns/call", "gate [ns]", "verdict"}, 3);
-  table.add_row({std::string("disabled (null plan)"), null_plan_ns,
-                 kDisabledGateNs,
-                 std::string(null_plan_ns < kDisabledGateNs ? "PASS"
-                                                            : "FAIL")});
-  table.add_row({std::string("disabled (non-covering plan)"), non_covering_ns,
-                 kDisabledGateNs,
-                 std::string(non_covering_ns < kDisabledGateNs ? "PASS"
-                                                               : "FAIL")});
-  table.add_row({std::string("enabled verdict"), enabled_ns, kEnabledGateNs,
-                 std::string(enabled_ns < kEnabledGateNs ? "PASS" : "FAIL")});
-  table.print(std::cout);
-  std::cout << "\nloop baseline: " << baseline_ns << " ns; "
-            << enabled.calls() << " verdicts drawn on the enabled path\n"
-            << "disabled gate: " << (disabled_ok ? "PASS" : "FAIL")
-            << ", enabled gate: " << (enabled_ok ? "PASS" : "FAIL") << '\n';
-
-  {
-    std::ofstream json(out_path);
-    json << "{\n"
-         << "  \"bench\": " << core::json_quote("fault_overhead") << ",\n"
-         << "  \"calls_per_pass\": "
-         << core::json_number(static_cast<std::int64_t>(kCallsPerPass))
-         << ",\n"
-         << "  \"passes\": "
-         << core::json_number(static_cast<std::int64_t>(kPasses)) << ",\n"
-         << "  \"baseline_ns\": " << core::json_number(baseline_ns) << ",\n"
-         << "  \"disabled_null_plan_ns\": " << core::json_number(null_plan_ns)
-         << ",\n"
-         << "  \"disabled_non_covering_ns\": "
-         << core::json_number(non_covering_ns) << ",\n"
-         << "  \"enabled_verdict_ns\": " << core::json_number(enabled_ns)
-         << ",\n"
-         << "  \"disabled_gate_ns\": " << core::json_number(kDisabledGateNs)
-         << ",\n"
-         << "  \"enabled_gate_ns\": " << core::json_number(kEnabledGateNs)
-         << ",\n"
-         << "  \"disabled_gate_pass\": " << (disabled_ok ? "true" : "false")
-         << ",\n"
-         << "  \"enabled_gate_pass\": " << (enabled_ok ? "true" : "false")
-         << "\n}\n";
-    std::cout << "wrote " << out_path << '\n';
-  }
-
-  if (!disabled_ok) return 1;
-  if (!enabled_ok) return 2;
-  return 0;
+  return report.finish();
 }

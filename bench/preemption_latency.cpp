@@ -9,24 +9,23 @@
 // path — a non-yielding payload would hold the worker for the full solve,
 // seconds — never a slow CI runner.
 //
-// Writes BENCH_preemption.json; exits 1 when the gate fails.
+// Writes BENCH_preemption.json; exits 1 when the worst start reaches the
+// gate or a trial went around the preemption machinery.
 #include <atomic>
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "bench_util.h"
-#include "core/json.h"
-#include "core/table.h"
 #include "memcomputing/dmm.h"
 #include "memcomputing/sat.h"
 #include "scheduler/scheduler.h"
 
 using namespace rebooting;
 using namespace rebooting::memcomputing;
+using bench::Better;
 
 namespace {
 
@@ -42,8 +41,8 @@ constexpr double kGateMs = 250.0;
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string out_path =
-      rebooting::bench::artifact_path(argc, argv, "BENCH_preemption.json");
+  bench::Report report("preemption_latency", "BENCH_preemption.json", argc,
+                       argv);
   core::print_banner(std::cout,
                      "preemption latency — high-priority start time while a "
                      "sliced DMM solve holds the only worker");
@@ -134,49 +133,16 @@ int main(int argc, char** argv) {
     worst = std::max(worst, l);
     sum += l;
   }
-  const double mean = sum / static_cast<double>(latencies_ms.size());
   const sched::SchedulerStats stats = scheduler.stats();
-  const bool gate_ok = worst <= kGateMs;
-
-  core::Table table({"metric", "value"}, 4);
-  table.add_row({std::string("trials"),
-                 static_cast<std::int64_t>(kTrials)});
-  table.add_row({std::string("mean start latency [ms]"), mean});
-  table.add_row({std::string("worst start latency [ms]"), worst});
-  table.add_row({std::string("gate [ms]"), kGateMs});
-  table.add_row({std::string("slices run"),
-                 static_cast<std::int64_t>(stats.slices)});
-  table.add_row({std::string("preempts"),
-                 static_cast<std::int64_t>(stats.preempts)});
-  table.add_row({std::string("resumes"),
-                 static_cast<std::int64_t>(stats.resumes)});
-  std::cout << '\n';
-  table.print(std::cout);
-  std::cout << "\nbackground solve: " << low_result.summary
-            << "\npreemption gate: worst " << worst << " ms vs " << kGateMs
-            << " ms -> " << (gate_ok ? "PASS" : "FAIL") << '\n';
-
-  {
-    std::ofstream json(out_path);
-    json << "{\n"
-         << "  \"bench\": " << core::json_quote("preemption_latency") << ",\n"
-         << "  \"trials\": " << kTrials << ",\n"
-         << "  \"mean_start_ms\": " << core::json_number(mean) << ",\n"
-         << "  \"worst_start_ms\": " << core::json_number(worst) << ",\n"
-         << "  \"gate_ms\": " << core::json_number(kGateMs) << ",\n"
-         << "  \"slices\": " << stats.slices << ",\n"
-         << "  \"preempts\": " << stats.preempts << ",\n"
-         << "  \"resumes\": " << stats.resumes << ",\n"
-         << "  \"gate\": " << core::json_quote(gate_ok ? "pass" : "fail")
-         << "\n}\n";
-    std::cout << "wrote " << out_path << '\n';
-  }
-
+  std::cout << "\nbackground solve: " << low_result.summary << '\n';
+  report.param("trials", kTrials);
+  report.param("slices", stats.slices);
+  report.param("resumes", stats.resumes);
+  report.measure("mean_start", "ms",
+                 sum / static_cast<double>(latencies_ms.size()),
+                 Better::kLower);
+  report.gate("worst_start", "ms", worst, Better::kLower, kGateMs);
   // Sanity: every trial must have gone through the preemption machinery.
-  if (stats.preempts < static_cast<std::uint64_t>(kTrials)) {
-    std::cerr << "expected >= " << kTrials << " preempts, saw "
-              << stats.preempts << '\n';
-    return 1;
-  }
-  return gate_ok ? 0 : 1;
+  report.gate("preempts", "count", stats.preempts, Better::kHigher, kTrials);
+  return report.finish();
 }

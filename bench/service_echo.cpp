@@ -18,7 +18,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -27,13 +26,12 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/json.h"
-#include "core/table.h"
 #include "net/protocol.h"
 #include "rebootctl/client.h"
 #include "rebootd/server.h"
 
 using namespace rebooting;
+using bench::Better;
 using core::Real;
 
 namespace {
@@ -109,20 +107,14 @@ void worker(std::uint16_t port, std::size_t index, Clock::time_point deadline,
   client.close();
 }
 
-Real body_number(const core::JsonValue& body, const char* group,
-                 const char* field) {
-  return body.at(group).at(field).number();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string out_path =
-      rebooting::bench::artifact_path(argc, argv, "BENCH_service.json");
+  bench::Report report("service_echo", "BENCH_service.json", argc, argv);
   core::print_banner(std::cout,
                      "rebootd loopback echo — pipelined wire-path throughput");
-  std::cout << "\n" << kThreads << " connections x window " << kWindow
-            << ", " << kSeconds << " s, gate: >= " << kMinRps << " req/s\n\n";
+  report.param("threads", kThreads);
+  report.param("window", kWindow);
 
   rebootd::ServerConfig config;
   config.cpu_workers = 2;
@@ -154,12 +146,19 @@ int main(int argc, char** argv) {
     total.transport_errors += t.transport_errors;
     total.duplicates += t.duplicates;
   }
-  const std::uint64_t accounted =
-      total.ok + total.other + total.transport_errors;
-  const Real rps = static_cast<Real>(total.ok) / elapsed;
+  report.param("seconds", elapsed);
+  report.param("sent", total.sent);
+  report.measure("ok", "count", total.ok, Better::kHigher);
+  report.measure("non_ok", "count", total.other, Better::kLower);
+  report.measure("transport_errors", "count", total.transport_errors,
+                 Better::kLower);
+  report.check("accounting_balanced",
+               total.ok + total.other + total.transport_errors == total.sent &&
+                   total.duplicates == 0);
+  report.gate("throughput", "1/s", static_cast<Real>(total.ok) / elapsed,
+              Better::kHigher, kMinRps);
 
   // Server-side quantiles over the whole run, then a clean stop.
-  Real p50 = 0.0, p99 = 0.0, server_count = 0.0;
   {
     rebootctl::Client client;
     if (client.connect("127.0.0.1", server.port(), &error)) {
@@ -168,62 +167,18 @@ int main(int argc, char** argv) {
       req.method = "status";
       if (const auto resp = client.call(req, &error);
           resp.has_value() && resp->status == net::Status::kOk) {
-        p50 = body_number(resp->body, "latency", "p50_seconds");
-        p99 = body_number(resp->body, "latency", "p99_seconds");
-        server_count = body_number(resp->body, "latency", "count");
+        const core::JsonValue& latency = resp->body.at("latency");
+        report.measure("server_p50", "ms",
+                       latency.at("p50_seconds").number() * 1e3,
+                       Better::kLower);
+        report.measure("server_p99", "ms",
+                       latency.at("p99_seconds").number() * 1e3,
+                       Better::kLower);
+        report.param("server_requests", latency.at("count").number());
       }
     }
   }
   server.stop();
 
-  const bool balanced = accounted == total.sent && total.duplicates == 0;
-  const bool fast_enough = rps >= kMinRps;
-
-  core::Table table({"metric", "value"}, 3);
-  table.add_row({std::string("ok responses"), static_cast<Real>(total.ok)});
-  table.add_row({std::string("non-ok responses"),
-                 static_cast<Real>(total.other)});
-  table.add_row({std::string("transport errors"),
-                 static_cast<Real>(total.transport_errors)});
-  table.add_row({std::string("throughput [req/s]"), rps});
-  table.add_row({std::string("server p50 [ms]"), p50 * 1e3});
-  table.add_row({std::string("server p99 [ms]"), p99 * 1e3});
-  table.print(std::cout);
-  std::cout << "\naccounting: " << (balanced ? "BALANCED" : "BROKEN")
-            << " (" << total.sent << " sent, " << accounted
-            << " accounted, server histogram count " << server_count << ")\n"
-            << "throughput gate: " << (fast_enough ? "PASS" : "FAIL") << '\n';
-
-  {
-    std::ofstream json(out_path);
-    json << "{\n"
-         << "  \"bench\": " << core::json_quote("service_echo") << ",\n"
-         << "  \"threads\": "
-         << core::json_number(static_cast<std::int64_t>(kThreads)) << ",\n"
-         << "  \"window\": "
-         << core::json_number(static_cast<std::int64_t>(kWindow)) << ",\n"
-         << "  \"seconds\": " << core::json_number(elapsed) << ",\n"
-         << "  \"ok\": "
-         << core::json_number(static_cast<std::int64_t>(total.ok)) << ",\n"
-         << "  \"non_ok\": "
-         << core::json_number(static_cast<std::int64_t>(total.other))
-         << ",\n"
-         << "  \"transport_errors\": "
-         << core::json_number(
-                static_cast<std::int64_t>(total.transport_errors))
-         << ",\n"
-         << "  \"requests_per_second\": " << core::json_number(rps) << ",\n"
-         << "  \"server_p50_seconds\": " << core::json_number(p50) << ",\n"
-         << "  \"server_p99_seconds\": " << core::json_number(p99) << ",\n"
-         << "  \"min_rps_gate\": " << core::json_number(kMinRps) << ",\n"
-         << "  \"accounting_balanced\": " << (balanced ? "true" : "false")
-         << ",\n"
-         << "  \"throughput_gate_pass\": " << (fast_enough ? "true" : "false")
-         << "\n}\n";
-    std::cout << "wrote " << out_path << '\n';
-  }
-
-  if (!balanced) return 1;
-  if (!fast_enough) return 2;
-  return 0;
+  return report.finish();
 }

@@ -20,19 +20,16 @@
 // asm memory clobber so the disabled-path check cannot be hoisted.
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <string>
-#include <vector>
 
 #include "bench_util.h"
-#include "core/json.h"
-#include "core/table.h"
 #include "telemetry/sampler.h"
 #include "telemetry/telemetry.h"
 
 using namespace rebooting;
+using bench::Better;
 using core::Real;
 
 namespace {
@@ -54,22 +51,9 @@ constexpr std::size_t kRecordsPerHistogram = 4096;
 
 using Clock = std::chrono::steady_clock;
 
-inline void clobber() { asm volatile("" ::: "memory"); }
-
 template <typename Body>
 Real min_pass_ns(const Body& body) {
-  Real best = std::numeric_limits<Real>::infinity();
-  for (std::size_t pass = 0; pass < kPasses; ++pass) {
-    const auto start = Clock::now();
-    for (std::size_t i = 0; i < kOpsPerPass; ++i) {
-      body(i);
-      clobber();
-    }
-    const Real ns =
-        std::chrono::duration<Real, std::nano>(Clock::now() - start).count();
-    best = std::min(best, ns / static_cast<Real>(kOpsPerPass));
-  }
-  return best;
+  return bench::min_pass_ns(kPasses, kOpsPerPass, body);
 }
 
 void populate(telemetry::MetricsRegistry& registry) {
@@ -88,29 +72,30 @@ void populate(telemetry::MetricsRegistry& registry) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string out_path =
-      rebooting::bench::artifact_path(argc, argv, "BENCH_stats.json");
+  bench::Report report("stats_overhead", "BENCH_stats.json", argc, argv);
   core::print_banner(std::cout,
                      "Metrics/sampler overhead — disabled path & tick cost");
-  std::cout << "\n"
-            << kOpsPerPass << " ops/pass, " << kPasses
-            << " passes, min-pass reported; gates: disabled < "
-            << kDisabledGateNs << " ns, take_sample < " << kTickGateMs
-            << " ms on " << kCounters << " counters / " << kGauges
-            << " gauges / " << kHistograms << " histograms\n\n";
+  report.param("ops_per_pass", kOpsPerPass);
+  report.param("passes", kPasses);
+  report.param("tick_passes", kTickPasses);
+  report.param("counters", kCounters);
+  report.param("gauges", kGauges);
+  report.param("histograms", kHistograms);
 
   const Real baseline_ns = min_pass_ns([](std::size_t) {});
+  report.measure("baseline", "ns", baseline_ns, Better::kLower);
 
   // 1. Disabled path: TELEM_COUNT / TELEM_RECORD cost one enabled() check.
   telemetry::Telemetry::set_enabled(false);
-  const Real disabled_count_ns =
-      min_pass_ns([](std::size_t) { TELEM_COUNT("bench.off"); }) -
-      baseline_ns;
-  const Real disabled_record_ns =
-      min_pass_ns([](std::size_t i) {
-        TELEM_RECORD("bench.off.hist", static_cast<Real>(i));
-      }) -
-      baseline_ns;
+  report.gate("disabled_count", "ns",
+              min_pass_ns([](std::size_t) { TELEM_COUNT("bench.off"); }) -
+                  baseline_ns,
+              Better::kLower, kDisabledGateNs);
+  report.gate("disabled_record", "ns",
+              min_pass_ns([](std::size_t i) {
+                TELEM_RECORD("bench.off.hist", static_cast<Real>(i));
+              }) - baseline_ns,
+              Better::kLower, kDisabledGateNs);
 
   // 2. Tick cost on a populated registry. A standalone registry, not the
   //    global one, so the numbers do not depend on what earlier passes left
@@ -132,78 +117,21 @@ int main(int argc, char** argv) {
     if (sample.counters.size() != kCounters) return 3;  // self-check
     (pass == 0 ? first : last) = std::move(sample);
   }
+  // Gate on the *minimum* tick like the ns-scale paths: it is the cost of
+  // the code, not of scheduler noise; the max is reported alongside.
+  report.gate("take_sample", "ms", tick_best_ms, Better::kLower, kTickGateMs);
+  report.measure("take_sample_worst", "ms", tick_worst_ms, Better::kLower);
 
   // Rate computation between the first and last sample (not gated; reported
   // so a regression is visible in the trajectory even below the tick gate).
   const auto rates_start = Clock::now();
   const telemetry::MetricsRates rates = telemetry::rates_between(first, last);
-  const Real rates_ms = std::chrono::duration<Real, std::milli>(
-                            Clock::now() - rates_start)
-                            .count();
+  report.measure("rates_between", "ms",
+                 std::chrono::duration<Real, std::milli>(Clock::now() -
+                                                         rates_start)
+                     .count(),
+                 Better::kLower);
+  report.param("rate_counters", rates.per_second.size());
 
-  const Real disabled_worst = std::max(disabled_count_ns, disabled_record_ns);
-  const bool disabled_ok = disabled_worst < kDisabledGateNs;
-  // Gate on the *minimum* tick like the ns-scale paths: it is the cost of
-  // the code, not of scheduler noise; the max is reported alongside.
-  const bool tick_ok = tick_best_ms < kTickGateMs;
-
-  core::Table table({"path", "cost", "gate", "verdict"}, 4);
-  table.add_row({std::string("disabled TELEM_COUNT [ns]"), disabled_count_ns,
-                 kDisabledGateNs,
-                 std::string(disabled_count_ns < kDisabledGateNs ? "PASS"
-                                                                 : "FAIL")});
-  table.add_row({std::string("disabled TELEM_RECORD [ns]"),
-                 disabled_record_ns, kDisabledGateNs,
-                 std::string(disabled_record_ns < kDisabledGateNs ? "PASS"
-                                                                  : "FAIL")});
-  table.add_row({std::string("take_sample, populated [ms]"), tick_best_ms,
-                 kTickGateMs,
-                 std::string(tick_ok ? "PASS" : "FAIL")});
-  table.add_row({std::string("take_sample, worst pass [ms]"), tick_worst_ms,
-                 std::string("-"), std::string("report")});
-  table.add_row({std::string("rates_between [ms]"), rates_ms,
-                 std::string("-"), std::string("report")});
-  table.print(std::cout);
-  std::cout << "\nloop baseline: " << baseline_ns << " ns; rate set holds "
-            << rates.per_second.size() << " counters over dt="
-            << rates.dt_seconds << " s\n"
-            << "disabled gate: " << (disabled_ok ? "PASS" : "FAIL")
-            << ", tick gate: " << (tick_ok ? "PASS" : "FAIL") << '\n';
-
-  {
-    std::ofstream json(out_path);
-    json << "{\n"
-         << "  \"bench\": " << core::json_quote("stats_overhead") << ",\n"
-         << "  \"ops_per_pass\": "
-         << core::json_number(static_cast<std::int64_t>(kOpsPerPass)) << ",\n"
-         << "  \"passes\": "
-         << core::json_number(static_cast<std::int64_t>(kPasses)) << ",\n"
-         << "  \"counters\": "
-         << core::json_number(static_cast<std::int64_t>(kCounters)) << ",\n"
-         << "  \"gauges\": "
-         << core::json_number(static_cast<std::int64_t>(kGauges)) << ",\n"
-         << "  \"histograms\": "
-         << core::json_number(static_cast<std::int64_t>(kHistograms)) << ",\n"
-         << "  \"baseline_ns\": " << core::json_number(baseline_ns) << ",\n"
-         << "  \"disabled_count_ns\": "
-         << core::json_number(disabled_count_ns) << ",\n"
-         << "  \"disabled_record_ns\": "
-         << core::json_number(disabled_record_ns) << ",\n"
-         << "  \"tick_ms\": " << core::json_number(tick_best_ms) << ",\n"
-         << "  \"tick_worst_ms\": " << core::json_number(tick_worst_ms)
-         << ",\n"
-         << "  \"rates_ms\": " << core::json_number(rates_ms) << ",\n"
-         << "  \"disabled_gate_ns\": " << core::json_number(kDisabledGateNs)
-         << ",\n"
-         << "  \"tick_gate_ms\": " << core::json_number(kTickGateMs) << ",\n"
-         << "  \"disabled_gate_pass\": " << (disabled_ok ? "true" : "false")
-         << ",\n"
-         << "  \"tick_gate_pass\": " << (tick_ok ? "true" : "false")
-         << "\n}\n";
-    std::cout << "wrote " << out_path << '\n';
-  }
-
-  if (!disabled_ok) return 1;
-  if (!tick_ok) return 2;
-  return 0;
+  return report.finish();
 }

@@ -18,19 +18,14 @@
 // volatile accumulator is subtracted so loop overhead is not billed to the
 // recorder. An asm memory clobber after each event keeps the compiler from
 // hoisting or collapsing the disabled-path checks.
-#include <algorithm>
-#include <chrono>
-#include <fstream>
 #include <iostream>
-#include <limits>
 
 #include "bench_util.h"
-#include "core/table.h"
-#include "core/json.h"
 #include "telemetry/trace.h"
 #include "telemetry/telemetry.h"
 
 using namespace rebooting;
+using bench::Better;
 using core::Real;
 
 namespace {
@@ -40,144 +35,62 @@ constexpr std::size_t kPasses = 25;
 constexpr Real kDisabledGateNs = 2.0;
 constexpr Real kEnabledGateNs = 100.0;
 
-using Clock = std::chrono::steady_clock;
-
-/// Prevents the optimizer from proving the loop body dead or hoisting the
-/// enabled-flag load out of the loop (which would measure one check instead
-/// of kEventsPerPass).
-inline void clobber() { asm volatile("" ::: "memory"); }
-
 template <typename Body>
 Real min_pass_ns(const Body& body) {
-  Real best = std::numeric_limits<Real>::infinity();
-  for (std::size_t pass = 0; pass < kPasses; ++pass) {
-    const auto start = Clock::now();
-    for (std::size_t i = 0; i < kEventsPerPass; ++i) {
-      body(i);
-      clobber();
-    }
-    const Real ns =
-        std::chrono::duration<Real, std::nano>(Clock::now() - start).count();
-    best = std::min(best, ns / static_cast<Real>(kEventsPerPass));
-  }
-  return best;
+  return bench::min_pass_ns(kPasses, kEventsPerPass, body);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string out_path =
-      rebooting::bench::artifact_path(argc, argv, "BENCH_trace.json");
+  bench::Report report("trace_overhead", "BENCH_trace.json", argc, argv);
   core::print_banner(std::cout,
                      "Trace recorder overhead — disabled / enabled path cost");
-  std::cout << "\n"
-            << kEventsPerPass << " events/pass, " << kPasses
-            << " passes, min-pass reported; gates: disabled < "
-            << kDisabledGateNs << " ns, enabled < " << kEnabledGateNs
-            << " ns\n\n";
+  report.param("events_per_pass", kEventsPerPass);
+  report.param("passes", kPasses);
 
   auto& recorder = telemetry::TraceRecorder::instance();
 
   const Real baseline_ns = min_pass_ns([](std::size_t) {});
+  report.measure("baseline", "ns", baseline_ns, Better::kLower);
+  const auto gate = [&](const char* metric, Real ns, Real bound) {
+    report.gate(metric, "ns", ns, Better::kLower, bound);
+  };
 
   // Disabled path: the macro's whole cost is trace_enabled().
   telemetry::TraceRecorder::set_enabled(false);
   recorder.reset();
-  const Real disabled_instant_ns =
-      min_pass_ns([](std::size_t) { TELEM_TRACE_INSTANT("bench.off"); }) -
-      baseline_ns;
-  const Real disabled_scope_ns =
-      min_pass_ns([](std::size_t) { TELEM_TRACE_SCOPE("bench.off.scope"); }) -
-      baseline_ns;
+  gate("disabled_instant",
+       min_pass_ns([](std::size_t) { TELEM_TRACE_INSTANT("bench.off"); }) -
+           baseline_ns,
+       kDisabledGateNs);
+  gate("disabled_scope",
+       min_pass_ns([](std::size_t) { TELEM_TRACE_SCOPE("bench.off.scope"); }) -
+           baseline_ns,
+       kDisabledGateNs);
 
   // Enabled path: clock read + ring store. The ring wraps millions of times
   // over the run — by design; overwrite-oldest is the steady state.
   telemetry::TraceRecorder::set_enabled(true);
-  const Real enabled_instant_ns =
-      min_pass_ns([](std::size_t) { TELEM_TRACE_INSTANT("bench.on"); }) -
-      baseline_ns;
-  const Real enabled_counter_ns =
-      min_pass_ns([](std::size_t i) {
-        TELEM_TRACE_COUNTER("bench.on.counter", i);
-      }) -
-      baseline_ns;
+  gate("enabled_instant",
+       min_pass_ns([](std::size_t) { TELEM_TRACE_INSTANT("bench.on"); }) -
+           baseline_ns,
+       kEnabledGateNs);
+  gate("enabled_counter",
+       min_pass_ns([](std::size_t i) {
+         TELEM_TRACE_COUNTER("bench.on.counter", i);
+       }) - baseline_ns,
+       kEnabledGateNs);
   // A scope is two events (B + E): report per-event cost.
-  const Real enabled_scope_ns =
-      (min_pass_ns([](std::size_t) { TELEM_TRACE_SCOPE("bench.on.scope"); }) -
-       baseline_ns) /
-      2.0;
-  const std::uint64_t events_recorded =
-      telemetry::TraceRecorder::instance().snapshot().empty()
-          ? 0
-          : telemetry::TraceRecorder::instance().snapshot()[0].written;
+  gate("enabled_scope",
+       (min_pass_ns([](std::size_t) { TELEM_TRACE_SCOPE("bench.on.scope"); }) -
+        baseline_ns) /
+           2.0,
+       kEnabledGateNs);
+  const auto rings = recorder.snapshot();
+  report.param("events_recorded", rings.empty() ? 0.0 : rings[0].written);
   telemetry::TraceRecorder::set_enabled(false);
   recorder.reset();
 
-  const Real disabled_worst = std::max(disabled_instant_ns, disabled_scope_ns);
-  const Real enabled_worst = std::max(
-      {enabled_instant_ns, enabled_counter_ns, enabled_scope_ns});
-  const bool disabled_ok = disabled_worst < kDisabledGateNs;
-  const bool enabled_ok = enabled_worst < kEnabledGateNs;
-
-  core::Table table({"path", "ns/event", "gate [ns]", "verdict"}, 3);
-  table.add_row({std::string("disabled instant"), disabled_instant_ns,
-                 kDisabledGateNs,
-                 std::string(disabled_instant_ns < kDisabledGateNs ? "PASS"
-                                                                   : "FAIL")});
-  table.add_row({std::string("disabled scope"), disabled_scope_ns,
-                 kDisabledGateNs,
-                 std::string(disabled_scope_ns < kDisabledGateNs ? "PASS"
-                                                                 : "FAIL")});
-  table.add_row({std::string("enabled instant"), enabled_instant_ns,
-                 kEnabledGateNs,
-                 std::string(enabled_instant_ns < kEnabledGateNs ? "PASS"
-                                                                 : "FAIL")});
-  table.add_row({std::string("enabled counter"), enabled_counter_ns,
-                 kEnabledGateNs,
-                 std::string(enabled_counter_ns < kEnabledGateNs ? "PASS"
-                                                                 : "FAIL")});
-  table.add_row({std::string("enabled scope (per event)"), enabled_scope_ns,
-                 kEnabledGateNs,
-                 std::string(enabled_scope_ns < kEnabledGateNs ? "PASS"
-                                                               : "FAIL")});
-  table.print(std::cout);
-  std::cout << "\nloop baseline: " << baseline_ns << " ns; "
-            << events_recorded << " events recorded during enabled passes\n"
-            << "disabled gate: " << (disabled_ok ? "PASS" : "FAIL")
-            << ", enabled gate: " << (enabled_ok ? "PASS" : "FAIL") << '\n';
-
-  {
-    std::ofstream json(out_path);
-    json << "{\n"
-         << "  \"bench\": " << core::json_quote("trace_overhead") << ",\n"
-         << "  \"events_per_pass\": "
-         << core::json_number(static_cast<std::int64_t>(kEventsPerPass))
-         << ",\n"
-         << "  \"passes\": "
-         << core::json_number(static_cast<std::int64_t>(kPasses)) << ",\n"
-         << "  \"baseline_ns\": " << core::json_number(baseline_ns) << ",\n"
-         << "  \"disabled_instant_ns\": "
-         << core::json_number(disabled_instant_ns) << ",\n"
-         << "  \"disabled_scope_ns\": " << core::json_number(disabled_scope_ns)
-         << ",\n"
-         << "  \"enabled_instant_ns\": "
-         << core::json_number(enabled_instant_ns) << ",\n"
-         << "  \"enabled_counter_ns\": "
-         << core::json_number(enabled_counter_ns) << ",\n"
-         << "  \"enabled_scope_ns_per_event\": "
-         << core::json_number(enabled_scope_ns) << ",\n"
-         << "  \"disabled_gate_ns\": " << core::json_number(kDisabledGateNs)
-         << ",\n"
-         << "  \"enabled_gate_ns\": " << core::json_number(kEnabledGateNs)
-         << ",\n"
-         << "  \"disabled_gate_pass\": " << (disabled_ok ? "true" : "false")
-         << ",\n"
-         << "  \"enabled_gate_pass\": " << (enabled_ok ? "true" : "false")
-         << "\n}\n";
-    std::cout << "wrote " << out_path << '\n';
-  }
-
-  if (!disabled_ok) return 1;
-  if (!enabled_ok) return 2;
-  return 0;
+  return report.finish();
 }

@@ -23,6 +23,10 @@ namespace {
 /// timing is reproducible given the submission order.
 constexpr std::uint64_t kJitterSeed = 0x5EEDBACCull;
 
+/// How long a stealing-enabled worker waits on its own queue before looking
+/// for a victim pool.
+constexpr Clock::duration kStealPoll = std::chrono::milliseconds(2);
+
 core::Real seconds_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<core::Real>(b - a).count();
 }
@@ -417,7 +421,7 @@ void Scheduler::worker_loop(Pool& pool, core::Accelerator& replica,
       // deadline until add_pool adds a pool and wakes them.
       const auto has_victim = [&] { return has_other_pool(pool); };
       popped = has_victim()
-                   ? pool.queue.pop(Clock::now() + config_.steal_poll)
+                   ? pool.queue.pop(Clock::now() + kStealPoll)
                    : pool.queue.pop(std::nullopt, has_victim);
       if (!popped) {
         if (pool.queue.closed()) break;

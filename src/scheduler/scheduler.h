@@ -87,12 +87,10 @@ struct SchedulerConfig {
   /// Let idle workers steal queued jobs marked JobOptions::stealable from
   /// other kinds' pools (DESIGN.md §12). Off by default: stealing changes
   /// which replica runs a job, which only payloads that ignore their
-  /// accelerator argument tolerate.
+  /// accelerator argument tolerate. A stealing worker polls its own queue
+  /// every 2 ms while another pool exists to steal from; while its pool is
+  /// the only one, it waits with no deadline until add_pool adds another.
   bool work_stealing = false;
-  /// How long a stealing-enabled worker waits on its own queue before
-  /// looking for a victim pool. While its pool is the only one, it waits
-  /// with no deadline instead, until add_pool adds another.
-  Clock::duration steal_poll = std::chrono::milliseconds(2);
   /// Pin each worker thread to one CPU of the affinity mask of the thread
   /// that calls add_pool, in start order across every pool, wrapping when
   /// workers outnumber CPUs (Linux; elsewhere, or where the kernel refuses,

@@ -267,13 +267,20 @@ TEST(Service, MalformedJsonKeepsTheConnectionUsable) {
 TEST(Service, OversizedFrameGetsATypedReplyThenHangup) {
   ServerConfig config;
   config.cpu_workers = 1;
-  config.max_frame_bytes = 256;
   Server server(config);
   ASSERT_TRUE(server.start());
 
   net::Socket sock = net::connect_to("127.0.0.1", server.port());
   ASSERT_TRUE(sock.valid());
-  ASSERT_TRUE(net::write_frame(sock, std::string(1024, 'x')));
+  // A length prefix one byte over the cap, then the start of its body: the
+  // server refuses at the prefix, without waiting for the body.
+  const auto n = static_cast<std::uint32_t>(net::kMaxFrameBytes + 1);
+  const unsigned char prefix[4] = {
+      static_cast<unsigned char>(n >> 24), static_cast<unsigned char>(n >> 16),
+      static_cast<unsigned char>(n >> 8), static_cast<unsigned char>(n)};
+  ASSERT_TRUE(sock.write_all(prefix, sizeof prefix));
+  const std::string body(1024, 'x');
+  ASSERT_TRUE(sock.write_all(body.data(), body.size()));
   std::string frame;
   ASSERT_EQ(net::read_frame(sock, &frame, net::kMaxFrameBytes),
             net::FrameRead::kFrame);

@@ -830,10 +830,18 @@ TEST(SchedulerPinning, WorkersKeepTheProcessMaskByDefault) {
 
 // --- Work stealing between kind pools --------------------------------------
 
+/// Counts a latch down when it goes out of scope, on every way out.
+struct CountDownOnExit {
+  std::latch& latch;
+  ~CountDownOnExit() { latch.count_down(); }
+};
+
 TEST(SchedulerStealing, IdleWorkersStealStealableJobs) {
-  Scheduler scheduler({.queue_capacity = 16,
-                       .work_stealing = true,
-                       .steal_poll = 1ms});
+  // The latches outlive the scheduler, whose destructor joins the worker
+  // that waits on them.
+  std::latch entered{1};
+  std::latch gate{1};
+  Scheduler scheduler({.queue_capacity = 16, .work_stealing = true});
   scheduler.add_pool(AcceleratorKind::kClassicalCpu, 1,
                      core::CpuAccelerator::factory());
   scheduler.add_pool(AcceleratorKind::kOscillator, 1,
@@ -841,8 +849,6 @@ TEST(SchedulerStealing, IdleWorkersStealStealableJobs) {
 
   // Wedge the CPU pool's only worker, then pile stealable work on its queue:
   // the idle oscillator worker must drain it.
-  std::latch entered{1};
-  std::latch gate{1};
   auto blocker = scheduler.submit(cpu_job("blocker", [&] {
     entered.count_down();
     gate.wait();
@@ -858,14 +864,18 @@ TEST(SchedulerStealing, IdleWorkersStealStealableJobs) {
         cpu_job("stealable" + std::to_string(i), [] { return ok_result(); }),
         opts));
   }
-  // All four must complete while the CPU worker is still wedged.
-  for (auto& f : futures) {
-    ASSERT_EQ(f.wait_for(10s), std::future_status::ready);
-    EXPECT_TRUE(f.get().ok);
+  {
+    // A failed ASSERT returns from the test: the gate must open all the
+    // same, or ~Scheduler joins the wedged CPU worker forever.
+    const CountDownOnExit open_gate{gate};
+    // All four must complete while the CPU worker is still wedged.
+    for (auto& f : futures) {
+      ASSERT_EQ(f.wait_for(10s), std::future_status::ready);
+      EXPECT_TRUE(f.get().ok);
+    }
+    EXPECT_FALSE(ready(blocker));
+    EXPECT_GE(scheduler.stats().steals, 4u);
   }
-  EXPECT_FALSE(ready(blocker));
-  EXPECT_GE(scheduler.stats().steals, 4u);
-  gate.count_down();
   EXPECT_TRUE(blocker.get().ok);
   scheduler.drain();
   EXPECT_EQ(scheduler.stats(AcceleratorKind::kClassicalCpu).queue_depth, 0u);
@@ -889,9 +899,7 @@ TEST(SchedulerStealing, AnIdleLonePoolDoesNotPoll) {
 }
 
 TEST(SchedulerStealing, APoolAddedLaterIsStolenFrom) {
-  Scheduler scheduler({.queue_capacity = 16,
-                       .work_stealing = true,
-                       .steal_poll = 1ms});
+  Scheduler scheduler({.queue_capacity = 16, .work_stealing = true});
   scheduler.add_pool(AcceleratorKind::kOscillator, 1,
                      oscillator::OscillatorAccelerator::factory({}));
   // Alone, the oscillator worker waits with no deadline; adding the CPU
@@ -929,9 +937,7 @@ TEST(SchedulerStealing, APoolAddedLaterIsStolenFrom) {
 }
 
 TEST(SchedulerStealing, NonStealableJobsStayOnTheirQueue) {
-  Scheduler scheduler({.queue_capacity = 16,
-                       .work_stealing = true,
-                       .steal_poll = 1ms});
+  Scheduler scheduler({.queue_capacity = 16, .work_stealing = true});
   scheduler.add_pool(AcceleratorKind::kClassicalCpu, 1,
                      core::CpuAccelerator::factory());
   scheduler.add_pool(AcceleratorKind::kOscillator, 1,
